@@ -29,6 +29,7 @@ from .corpus import (
 from .embedding import (
     CbowConfig,
     build_vocab,
+    embedding_digest,
     init_random_embeddings,
     load_embeddings,
     save_embeddings,
@@ -324,7 +325,7 @@ def cmd_train(args) -> int:
         preset=args.preset,
         dataset_name=Path(args.data).stem,
     )
-    save_model(out / "model.json", params, embedding_ref=str(args.embeddings))
+    save_model(out / "model.json", params, embedding_ref=embedding_digest(vocab, table))
     (out / "train_report.json").write_text(
         json.dumps(report.to_dict(), indent=2), encoding="utf-8"
     )
@@ -341,7 +342,7 @@ def cmd_eval(args) -> int:
     write_manifest(out, "eval", args)
     dataset = load_dataset_json(args.data)
     vocab, table = _load_embedding_pair(args.embeddings)
-    params = load_model(args.model)
+    params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
     result = evaluate(params, (vocab, table), dataset)
     strata = stratified_sample_eval(
         params, (vocab, table), dataset,

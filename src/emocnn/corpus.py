@@ -152,8 +152,9 @@ def load_imdb_csv(
 ) -> LabeledDataset:
     """Load a ``review,sentiment`` CSV, optionally capping rows per class.
 
-    With `limit_per_class` (label -> cap) the first `cap` rows of each class
-    in file order are kept; remaining rows of that class are skipped, and a
+    With `limit_per_class` (label -> cap) the first `cap` usable rows of each
+    class in file order are kept (rows dropped for having no tokens do not
+    count against the cap); remaining rows of that class are skipped, and a
     class absent from the mapping is excluded entirely. This is how
     fixed-size balanced or imbalanced subsets are carved out of a larger
     review dump.
@@ -181,10 +182,10 @@ def load_imdb_csv(
             if limit_per_class is not None:
                 if taken[label] >= limit_per_class.get(label, 0):
                     continue
-            taken[label] += 1
             doc = _document_from_text(review, label, source_id=f"{src.name}:{row_num}")
             if doc is not None:
                 documents.append(doc)
+                taken[label] += 1
     if not documents:
         raise DataError(f"no usable rows in {src}")
     return LabeledDataset.from_documents(documents)

@@ -11,6 +11,7 @@ immutable and safe for concurrent reads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -206,6 +207,18 @@ def embed_lookup(
         pad = np.zeros((min_rows - len(tokens), table.dim))
         matrix = np.vstack([matrix, pad])
     return matrix
+
+
+def embedding_digest(vocab: Vocabulary, table: EmbeddingTable) -> str:
+    """Stable content hash of the words and vectors of an embedding pair.
+
+    A model checkpoint records it, so that scoring with another table of
+    the same dim is refused rather than quietly computed.
+    """
+    h = hashlib.sha256()
+    h.update(json.dumps(list(vocab.index_to_word)).encode())
+    h.update(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
 
 
 def save_embeddings(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) -> None:

@@ -139,19 +139,26 @@ def _sentence_matrix(vocab, table, doc, max_width):
     return embed_lookup(vocab, table, doc.tokens, min_rows=max_width)
 
 
-def evaluate(
+def _predict_all(
     params: ModelParams,
     embeddings: tuple[Vocabulary, EmbeddingTable],
     dataset: LabeledDataset,
-) -> EvalResult:
-    """Run the model over every document and tally the confusion matrix."""
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
+):
+    """(class, probabilities) of every document, one `predict` call each."""
     vocab, table = embeddings
     max_width = params.config.max_width
+    return [
+        predict(params, _sentence_matrix(vocab, table, doc, max_width))
+        for doc in dataset.documents
+    ]
+
+
+def _eval_result(dataset: LabeledDataset, decisions) -> EvalResult:
+    """Tally the confusion matrix of per-document class decisions."""
+    if dataset.n == 0:
+        raise ValueError("cannot evaluate an empty dataset")
     confusion = {"TP": 0, "TN": 0, "FP": 0, "FN": 0}
-    for doc in dataset.documents:
-        cls, _ = predict(params, _sentence_matrix(vocab, table, doc, max_width))
+    for doc, cls in zip(dataset.documents, decisions):
         if doc.label == 1:
             confusion["TP" if cls == 1 else "FN"] += 1
         else:
@@ -170,6 +177,15 @@ def evaluate(
     )
 
 
+def evaluate(
+    params: ModelParams,
+    embeddings: tuple[Vocabulary, EmbeddingTable],
+    dataset: LabeledDataset,
+) -> EvalResult:
+    """Run the model over every document and tally the confusion matrix."""
+    return _eval_result(dataset, [cls for cls, _ in _predict_all(params, embeddings, dataset)])
+
+
 def stratified_sample_eval(
     params: ModelParams,
     embeddings: tuple[Vocabulary, EmbeddingTable],
@@ -183,10 +199,8 @@ def stratified_sample_eval(
     Groups are drawn without replacement inside each class, so the row
     structure is (classes x strata) with every document appearing at most
     once. Each row carries both the stratum accuracy and the mean predicted
-    probability of the true class.
+    probability of the true class, both from one `predict` per document.
     """
-    vocab, table = embeddings
-    max_width = params.config.max_width
     rng = np.random.default_rng(seed)
     labels = dataset.labels()
     out: list[StratumEval] = []
@@ -202,16 +216,13 @@ def stratified_sample_eval(
         for s in range(strata):
             group = idx[s * per_stratum : (s + 1) * per_stratum]
             subset = dataset.subset(group)
-            result = evaluate(params, embeddings, subset)
-            true_probs = []
-            for doc in subset.documents:
-                _, probs = predict(params, _sentence_matrix(vocab, table, doc, max_width))
-                true_probs.append(probs[doc.label])
+            scored = _predict_all(params, embeddings, subset)
+            true_probs = [probs[doc.label] for doc, (_, probs) in zip(subset.documents, scored)]
             out.append(
                 StratumEval(
                     class_label=int(label),
                     stratum=s + 1,
-                    result=result,
+                    result=_eval_result(subset, [cls for cls, _ in scored]),
                     mean_true_class_prob=float(np.mean(true_probs)),
                     doc_indices=tuple(int(i) for i in group),
                 )

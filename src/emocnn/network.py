@@ -4,10 +4,13 @@ The forward pass slides each w x d filter over the L x d sentence matrix,
 applies the configured activation to every pre-activation, pools the
 maximum of each feature map, optionally applies inverted dropout to the
 pooled vector, and maps it through a single affine layer to class
-probabilities. `backward` produces exact analytic gradients of the
-weighted cross-entropy: the pooled gradient flows only through each map's
-argmax position and through the dropout mask. All functions are pure;
-`sgd_step` returns fresh parameters.
+probabilities. The convolution of a filter bank is a sum of w shifted
+matrix products, one BLAS call per filter row on a row slice of the
+sentence, with no im2col copy (see `_conv_pre_activations`). `backward`
+produces exact analytic gradients of the weighted cross-entropy: the
+pooled gradient flows only through each map's argmax position and through
+the dropout mask. All functions are pure; `sgd_step` returns fresh
+parameters.
 """
 
 from __future__ import annotations
@@ -145,14 +148,25 @@ def init_params(config: NetworkConfig) -> ModelParams:
 
 
 def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.ndarray) -> np.ndarray:
-    """Pre-activations of a whole filter bank: (maps, L - w + 1)."""
+    """Pre-activations of a whole filter bank: (maps, P) with P = L - w + 1.
+
+    Computed as w shifted matrix products, one per filter row k:
+    pre = sum_k F[:, k, :] @ S[k : k + P].T + b. Each product runs in BLAS
+    on a contiguous row slice of the sentence, so nothing is copied. A flat
+    im2col matrix (P x w*d) would copy every row w times, and that copy
+    alone costs more than these products.
+    """
     w = filters.shape[1]
-    if sentence.shape[0] < w:
+    positions = sentence.shape[0] - w + 1
+    if positions < 1:
         raise ValueError(
             f"sentence has {sentence.shape[0]} rows but the filter needs {w}"
         )
-    windows = sliding_window_view(sentence, (w, sentence.shape[1]))[:, 0]
-    return np.einsum("pwd,mwd->mp", windows, filters) + biases[:, None]
+    pre = filters[:, 0, :] @ sentence[:positions].T
+    for k in range(1, w):
+        pre += filters[:, k, :] @ sentence[k : k + positions].T
+    pre += biases[:, None]
+    return pre
 
 
 def conv_forward(filt: np.ndarray, bias: float, sentence: np.ndarray, activation: Activation) -> np.ndarray:
@@ -325,7 +339,11 @@ def config_from_dict(payload: dict) -> NetworkConfig:
 
 
 def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -> None:
-    """Write the versioned model checkpoint."""
+    """Write the versioned model checkpoint.
+
+    `embedding_ref` is the `embedding.embedding_digest` of the table the
+    model was trained with; empty when unknown.
+    """
     config = params.config
     filters = []
     for w in config.filter_widths:
@@ -349,7 +367,12 @@ def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> ModelParams:
+def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParams:
+    """Read a model checkpoint.
+
+    With `embedding_ref`, a checkpoint that records another embedding
+    digest is refused: the model would score a table it never saw.
+    """
     src = Path(path)
     if not src.is_file():
         raise DataError(f"model checkpoint not found: {src}")
@@ -359,6 +382,12 @@ def load_model(path: str | Path) -> ModelParams:
         raise DataError(f"cannot parse model checkpoint {src}: {exc}") from exc
     if payload.get("version") != MODEL_SCHEMA_VERSION:
         raise DataError(f"{src}: unsupported model checkpoint version")
+    stored_ref = payload.get("embedding_ref", "")
+    if embedding_ref is not None and stored_ref and stored_ref != embedding_ref:
+        raise DataError(
+            f"{src}: model was trained with embeddings {stored_ref!r}, "
+            f"but the given table has digest {embedding_ref!r}"
+        )
     config = config_from_dict(payload["config"])
     d = config.embedding_dim
     entries = payload["filters"]

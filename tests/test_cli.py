@@ -6,7 +6,7 @@ import pytest
 
 from emocnn.cli import main
 from emocnn.corpus import load_dataset_json
-from emocnn.embedding import load_embeddings
+from emocnn.embedding import embedding_digest, load_embeddings
 from emocnn.evaluation import strip_timing
 from emocnn.network import load_model
 
@@ -147,6 +147,28 @@ class TestEvalCvCompare:
                      "--strata", "2", "--per-stratum", "5",
                      "--assert", "--min-accuracy", "1.1", "--out", str(out)])
         assert code == 3
+
+    def test_eval_refuses_another_embedding_table(self, tmp_path, prepared, embedded,
+                                                  trained, capsys):
+        model = trained / "model.json"
+        stored = json.loads(model.read_text())["embedding_ref"]
+        assert stored == embedding_digest(*load_embeddings(embedded))
+
+        wrong = tmp_path / "wrong"
+        assert main(["embed", "--data", str(prepared), "--dim", "6", "--random",
+                     "--seed", "9", "--out", str(wrong)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model), "--data", str(prepared),
+                     "--embeddings", str(wrong / "embeddings.json"),
+                     "--strata", "2", "--per-stratum", "5", "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert stored in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "eval_report.json").exists()
+
+        code = main(["eval", "--model", str(model), "--data", str(prepared),
+                     "--embeddings", str(embedded),
+                     "--strata", "2", "--per-stratum", "5", "--out", str(tmp_path / "good")])
+        assert code == 0
 
     def test_cv(self, tmp_path, prepared, embedded, capsys):
         out = tmp_path / "cv"

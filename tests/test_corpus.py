@@ -155,6 +155,19 @@ class TestImdbCsvLoader:
         kept_pos = [d.tokens[2] for d in ds.documents if d.label == 1]
         assert kept_pos == ["0", "1"]
 
+    def test_tokenless_rows_do_not_count_against_the_cap(self, tmp_path):
+        f = tmp_path / "reviews.csv"
+        write_csv(
+            f,
+            ["!!!,positive", "first good,positive", "second good,positive", "bad,negative"],
+        )
+        ds = load_imdb_csv(f, limit_per_class={1: 2, 0: 10})
+        assert ds.class_counts == {1: 2, 0: 1}
+        assert [d.tokens for d in ds.documents if d.label == 1] == [
+            ("first", "good"),
+            ("second", "good"),
+        ]
+
     def test_quoted_multiline_review(self, tmp_path):
         f = tmp_path / "reviews.csv"
         f.write_text(

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from emocnn.corpus import imbalanced_synth_corpus, synth_corpus
-from emocnn.embedding import build_vocab, init_random_embeddings
+from emocnn import evaluation
+from emocnn.embedding import build_vocab, embed_lookup, init_random_embeddings
 from emocnn.evaluation import (
     METRICS_COLUMNS,
     SUMMARY_COLUMNS,
@@ -18,7 +19,7 @@ from emocnn.evaluation import (
     strip_timing,
 )
 from emocnn.functions import Activation, mlrelu_continuous
-from emocnn.network import NetworkConfig, init_params
+from emocnn.network import NetworkConfig, init_params, predict
 from emocnn.training import run_fold_cv, train, TrainConfig
 
 
@@ -118,6 +119,33 @@ class TestStratifiedSampleEval:
         dataset, embeddings, params = make_fixture(n_per_class=30)
         with pytest.raises(ValueError, match="class 0"):
             stratified_sample_eval(params, embeddings, dataset, 10, 20, seed=1)
+
+    def test_one_predict_per_document_and_same_rows(self, monkeypatch):
+        dataset, embeddings, params = make_fixture(n_per_class=60)
+        vocab, table = embeddings
+        expected = []
+        for row in stratified_sample_eval(params, embeddings, dataset, 3, 10, seed=4):
+            subset = dataset.subset(row.doc_indices)
+            probs = [
+                predict(params, embed_lookup(vocab, table, doc.tokens, params.config.max_width))[1]
+                for doc in subset.documents
+            ]
+            assert row.result.to_dict() == evaluate(params, embeddings, subset).to_dict()
+            assert row.mean_true_class_prob == float(
+                np.mean([p[doc.label] for p, doc in zip(probs, subset.documents)])
+            )
+            expected.append(row.to_dict())
+
+        calls = []
+
+        def counting_predict(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "predict", counting_predict)
+        rows = stratified_sample_eval(params, embeddings, dataset, 3, 10, seed=4)
+        assert len(calls) == 2 * 3 * 10
+        assert [r.to_dict() for r in rows] == expected
 
     def test_mean_true_class_prob_in_unit_interval(self):
         dataset, embeddings, params = make_fixture(n_per_class=60)

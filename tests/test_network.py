@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emocnn.corpus import DataError
 from emocnn.functions import (
@@ -146,6 +148,56 @@ class TestConvForward:
     def test_sentence_shorter_than_filter_rejected(self):
         with pytest.raises(ValueError):
             conv_forward(np.ones((4, 2)), 0.0, self.sentence, mlrelu_continuous())
+
+
+def loop_conv(filters, biases, sentence):
+    """Explicit-loop reference: one dot product per (map, position)."""
+    maps, w, _ = filters.shape
+    positions = sentence.shape[0] - w + 1
+    pre = np.empty((maps, positions))
+    bound = np.empty((maps, positions))
+    for m in range(maps):
+        for p in range(positions):
+            terms = filters[m] * sentence[p : p + w]
+            pre[m, p] = terms.sum() + biases[m]
+            bound[m, p] = np.abs(terms).sum() + abs(biases[m])
+    return pre, bound
+
+
+class TestConvAgainstLoop:
+    """`forward` pre-activations against the explicit loop, over random shapes.
+
+    The tolerance is fixed by the float64 error bound of a sum of n = w*d + 1
+    terms, |fl(sum) - sum| <= n * u * sum|terms| with u = eps / 2, taken once
+    for each side (kernel and loop): n * eps * sum|F*S| per entry.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        widths=st.sets(st.integers(1, 6), min_size=1, max_size=3),
+        extra_rows=st.integers(0, 40),
+        dim=st.integers(1, 24),
+        maps=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(widths={5}, extra_rows=0, dim=3, maps=2, seed=0)
+    @example(widths={1}, extra_rows=0, dim=1, maps=1, seed=1)
+    def test_pre_activations_match_loop(self, widths, extra_rows, dim, maps, seed):
+        rng = np.random.default_rng(seed)
+        config = tiny_config(filter_widths=tuple(sorted(widths)), maps_per_width=maps,
+                             embedding_dim=dim, seed=seed)
+        params = init_params(config)
+        for w in config.filter_widths:
+            params.filter_biases[w] = rng.normal(size=maps)
+        # extra_rows == 0 puts the widest filter at L == w: one position.
+        sentence = rng.normal(size=(config.max_width + extra_rows, dim))
+        trace = forward(params, sentence)
+        for w in config.filter_widths:
+            expected, bound = loop_conv(params.filters[w], params.filter_biases[w], sentence)
+            got = trace.pre_activations[w]
+            assert got.shape == expected.shape
+            tol = (w * dim + 1) * np.finfo(np.float64).eps * bound
+            assert np.all(np.abs(got - expected) <= tol), f"width {w}"
 
 
 class TestMaxpool:
@@ -357,6 +409,18 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert params_digest(loaded) == params_digest(params)
         assert loaded.config == params.config
+
+    def test_embedding_ref_must_match_when_recorded(self, tmp_path):
+        params = init_params(tiny_config())
+        path = tmp_path / "model.json"
+        save_model(path, params, embedding_ref="0123abcd")
+        assert params_digest(load_model(path, embedding_ref="0123abcd")) == params_digest(params)
+        with pytest.raises(DataError, match="0123abcd"):
+            load_model(path, embedding_ref="ffff0000")
+
+        # A checkpoint saved without a ref loads against any table.
+        save_model(path, params)
+        assert params_digest(load_model(path, embedding_ref="ffff0000")) == params_digest(params)
 
     def test_shape_validation(self, tmp_path):
         params = init_params(tiny_config())
