@@ -19,12 +19,14 @@ from . import __version__
 from .corpus import (
     DataError,
     imbalanced_synth_corpus,
+    json_artifact,
     length_stats,
     load_dataset_json,
     load_imdb_csv,
     load_polarity_dir,
     save_dataset_json,
     synth_corpus,
+    write_atomic,
 )
 from .embedding import (
     CbowConfig,
@@ -89,7 +91,7 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Pat
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 
@@ -139,7 +141,12 @@ def _load_config_file(path: str) -> dict:
 
 
 def expand_config_flags(argv: list[str]) -> list[str]:
-    """Splice config-file entries in ahead of explicit flags (flags win)."""
+    """Splice config-file entries in ahead of explicit flags (flags win).
+
+    Both spellings, `--config path` and `--config=path`, are expanded.
+    """
+    argv = [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--config=") else (token,))]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -169,23 +176,11 @@ def expand_config_flags(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _load_embedding_pair(path: str):
-    vocab, table = load_embeddings(path)
-    return vocab, table
-
-
-def _parse_widths(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise DataError(f"cannot parse filter widths from {text!r}") from exc
-
-
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise DataError(f"cannot parse seed list from {text!r}") from exc
+        raise DataError(f"cannot parse {what} from {text!r}") from exc
 
 
 def _parse_synth_spec(text: str) -> dict:
@@ -208,7 +203,7 @@ def _resolve_train_config(args, embedding_dim: int):
     if args.loss is not None:
         overrides["loss_mode"] = args.loss
     if args.widths is not None:
-        overrides["filter_widths"] = _parse_widths(args.widths)
+        overrides["filter_widths"] = _parse_ints(args.widths, "filter widths")
     if args.maps is not None:
         overrides["maps_per_width"] = args.maps
     for name in overrides:
@@ -315,7 +310,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     write_manifest(out, "train", args)
     dataset = load_dataset_json(args.data)
-    vocab, table = _load_embedding_pair(args.embeddings)
+    vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
     params, report = train(
         dataset,
@@ -326,9 +321,7 @@ def cmd_train(args) -> int:
         dataset_name=Path(args.data).stem,
     )
     save_model(out / "model.json", params, embedding_ref=embedding_digest(vocab, table))
-    (out / "train_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
+    write_atomic(out / "train_report.json", json.dumps(report.to_dict(), indent=2))
     emit_report(report, out)
     print(f"epochs run: {len(report.epochs)}")
     print(f"best validation accuracy: {report.best_validation_accuracy:.4f}")
@@ -341,7 +334,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     write_manifest(out, "eval", args)
     dataset = load_dataset_json(args.data)
-    vocab, table = _load_embedding_pair(args.embeddings)
+    vocab, table = load_embeddings(args.embeddings)
     params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
     result = evaluate(params, (vocab, table), dataset)
     strata = stratified_sample_eval(
@@ -353,7 +346,8 @@ def cmd_eval(args) -> int:
         params, (vocab, table), timing_docs, warmup=args.warmup, repeats=args.repeats
     )
     emit_report([result, *strata, timing], out)
-    (out / "eval_report.json").write_text(
+    write_atomic(
+        out / "eval_report.json",
         json.dumps(
             {
                 "eval": result.to_dict(),
@@ -362,7 +356,6 @@ def cmd_eval(args) -> int:
             },
             indent=2,
         ),
-        encoding="utf-8",
     )
     print(f"accuracy: {result.accuracy:.4f}")
     print(f"macro accuracy: {result.macro_accuracy:.4f}")
@@ -380,7 +373,7 @@ def cmd_cv(args) -> int:
     out = Path(args.out)
     write_manifest(out, "cv", args)
     dataset = load_dataset_json(args.data)
-    vocab, table = _load_embedding_pair(args.embeddings)
+    vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
     report = run_fold_cv(
         dataset,
@@ -392,9 +385,7 @@ def cmd_cv(args) -> int:
         dataset_name=Path(args.data).stem,
     )
     emit_report(report, out)
-    (out / "cv_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
+    write_atomic(out / "cv_report.json", json.dumps(report.to_dict(), indent=2))
     agg = report.aggregate
     print(f"folds: {args.folds}")
     print(f"mean test accuracy: {agg['accuracy_mean']:.4f} (std {agg['accuracy_std']:.4f})")
@@ -413,7 +404,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     write_manifest(out, "compare", args)
     dataset = load_dataset_json(args.data)
-    vocab, table = _load_embedding_pair(args.embeddings)
+    vocab, table = load_embeddings(args.embeddings)
     shared = dict(
         dropout_rate=args.dropout,
         learning_rate=args.lr,
@@ -430,16 +421,14 @@ def cmd_compare(args) -> int:
         (vocab, table),
         baseline,
         proposed,
-        seeds=_parse_seeds(args.seeds),
+        seeds=_parse_ints(args.seeds, "seed list"),
         baseline_label=args.baseline_preset,
         proposed_label=args.proposed_preset,
         dataset_name=Path(args.data).stem,
         test_fraction=args.test_fraction,
     )
     emit_report(report, out)
-    (out / "comparison.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
+    write_atomic(out / "comparison.json", json.dumps(report.to_dict(), indent=2))
     for name, value in sorted(report.win_counts.items()):
         print(f"{name}: {value}")
     if args.assert_ and report.win_counts["convergence_proposed_not_slower"] < args.min_convergence_wins:
@@ -461,7 +450,7 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for kind in kinds:
         config = NetworkConfig(
-            filter_widths=_parse_widths(args.widths),
+            filter_widths=_parse_ints(args.widths, "filter widths"),
             maps_per_width=args.maps,
             embedding_dim=args.dim,
             dropout_rate=args.dropout,
@@ -477,9 +466,9 @@ def cmd_gradcheck(args) -> int:
         print(f"{kind}: worst relative error {report.worst:.3e} [{status}]")
         failed = failed or bool(report.flagged_blocks)
     emit_report(reports, out)
-    (out / "gradcheck_report.json").write_text(
+    write_atomic(
+        out / "gradcheck_report.json",
         json.dumps({r.label: r.to_dict() for r in reports}, indent=2),
-        encoding="utf-8",
     )
     if args.assert_ and failed:
         print("assertion failed: flagged parameter blocks", file=sys.stderr)
@@ -489,12 +478,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_rerun(args) -> int:
     src = Path(args.manifest)
-    if not src.is_file():
-        raise DataError(f"manifest not found: {src}")
-    payload = json.loads(src.read_text(encoding="utf-8"))
-    if payload.get("version") != 1 or "command" not in payload:
-        raise DataError(f"{src} is not a version-1 run manifest")
-    argv = manifest_to_argv(payload)
+    with json_artifact(src, "manifest") as payload:
+        if payload.get("version") != 1 or "command" not in payload:
+            raise DataError(f"{src} is not a version-1 run manifest")
+        argv = manifest_to_argv(payload)
     if args.out is not None:
         try:
             idx = argv.index("--out")

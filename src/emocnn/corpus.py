@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +34,45 @@ UNK_TOKEN = "<unk>"
 
 class DataError(Exception):
     """A dataset could not be loaded or fails its format contract."""
+
+
+@contextmanager
+def json_artifact(path: str | Path, what: str):
+    """Yield the JSON object in the file at `path`, or raise `DataError` naming it.
+
+    A missing file, bad JSON, a non-object, and a `KeyError`, `TypeError` or
+    `AttributeError` inside the block (a missing or mistyped field) all fail.
+    """
+    src = Path(path)
+    if not src.is_file():
+        raise DataError(f"{what} not found: {src}")
+    try:
+        payload = json.loads(src.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot parse {what} {src}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{src}: {what} must hold a JSON object, not {type(payload).__name__}")
+    try:
+        yield payload
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{src}: malformed {what}, missing or mistyped field: {exc}") from exc
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write `text` (UTF-8, untranslated newlines) via a temp file and `os.replace`.
+
+    A process killed mid-write leaves the old file or the new one, never a
+    truncated one. No fsync: the fault guarded against is a killed process.
+    """
+    dest = Path(path)
+    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -296,25 +337,20 @@ def save_dataset_json(dataset: LabeledDataset, path: str | Path) -> None:
             for d in dataset.documents
         ],
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(path, json.dumps(payload))
 
 
 def load_dataset_json(path: str | Path) -> LabeledDataset:
     src = Path(path)
-    if not src.is_file():
-        raise DataError(f"prepared dataset not found: {src}")
-    try:
-        payload = json.loads(src.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot parse prepared dataset {src}: {exc}") from exc
-    if payload.get("version") != 1 or "documents" not in payload:
-        raise DataError(f"{src} is not a version-1 prepared dataset")
-    docs = [
-        Document(tokens=tuple(d["tokens"]), label=int(d["label"]), source_id=d.get("source_id", ""))
-        for d in payload["documents"]
-    ]
-    dataset = LabeledDataset.from_documents(docs)
-    recorded = {int(c): m for c, m in payload["class_counts"].items()}
+    with json_artifact(src, "prepared dataset") as payload:
+        if payload.get("version") != 1 or "documents" not in payload:
+            raise DataError(f"{src} is not a version-1 prepared dataset")
+        docs = [
+            Document(tokens=tuple(d["tokens"]), label=int(d["label"]), source_id=d.get("source_id", ""))
+            for d in payload["documents"]
+        ]
+        dataset = LabeledDataset.from_documents(docs)
+        recorded = {int(c): m for c, m in payload["class_counts"].items()}
     if recorded != dataset.class_counts:
         raise DataError(f"{src}: recorded class counts disagree with documents")
     return dataset

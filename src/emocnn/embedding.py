@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError, LabeledDataset, UNK_TOKEN
+from .corpus import DataError, LabeledDataset, UNK_TOKEN, json_artifact, write_atomic
 from .functions import LOG_EPS, _stable_sigmoid
 
 EMBEDDING_SCHEMA_VERSION = 1
@@ -231,32 +231,27 @@ def save_embeddings(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) 
         "words": list(vocab.index_to_word),
         "vectors": [float(v) for v in table.vectors.ravel()],
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(path, json.dumps(payload))
 
 
 def load_embeddings(path: str | Path) -> tuple[Vocabulary, EmbeddingTable]:
     src = Path(path)
-    if not src.is_file():
-        raise DataError(f"embedding checkpoint not found: {src}")
-    try:
-        payload = json.loads(src.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot parse embedding checkpoint {src}: {exc}") from exc
-    if payload.get("version") != EMBEDDING_SCHEMA_VERSION:
-        raise DataError(f"{src}: unsupported embedding checkpoint version")
-    words = payload.get("words")
-    dim = payload.get("dim")
-    flat = payload.get("vectors")
-    if not words or not isinstance(dim, int) or flat is None:
-        raise DataError(f"{src}: embedding checkpoint missing fields")
-    if len(flat) != len(words) * dim:
-        raise DataError(
-            f"{src}: expected {len(words) * dim} vector entries, found {len(flat)}"
+    with json_artifact(src, "embedding checkpoint") as payload:
+        if payload.get("version") != EMBEDDING_SCHEMA_VERSION:
+            raise DataError(f"{src}: unsupported embedding checkpoint version")
+        words = payload.get("words")
+        dim = payload.get("dim")
+        flat = payload.get("vectors")
+        if not words or not isinstance(dim, int) or flat is None:
+            raise DataError(f"{src}: embedding checkpoint missing fields")
+        if len(flat) != len(words) * dim:
+            raise DataError(
+                f"{src}: expected {len(words) * dim} vector entries, found {len(flat)}"
+            )
+        vectors = np.asarray(flat, dtype=np.float64).reshape(len(words), dim)
+        vocab = Vocabulary(
+            index_to_word=tuple(words),
+            word_to_index={w: i for i, w in enumerate(words)},
+            counts=tuple(0 for _ in words),
         )
-    vectors = np.asarray(flat, dtype=np.float64).reshape(len(words), dim)
-    vocab = Vocabulary(
-        index_to_word=tuple(words),
-        word_to_index={w: i for i, w in enumerate(words)},
-        counts=tuple(0 for _ in words),
-    )
     return vocab, EmbeddingTable(vectors=vectors)

@@ -6,23 +6,27 @@ Three artifacts are written by `emit_report` into the output directory:
   * ``summary.csv``  - one row per run (folds and aggregates included);
   * ``report.md``    - human-readable tables over the same numbers.
 
-CSV output is RFC-4180, UTF-8, '.' decimal separator, floats printed with
-12 significant digits so parsing the file recovers the numbers to ~1e-12
-relative. Emission is byte-stable: identical reports give identical files.
+Each report type (the results here and the training reports) supplies its
+rows through a `report_rows()` method. CSV output is RFC-4180, UTF-8, '.'
+decimal separator, floats printed with 12 significant digits so parsing the
+file recovers the numbers to ~1e-12 relative. Emission is byte-stable:
+identical reports give identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
-from .corpus import LabeledDataset
+from .corpus import LabeledDataset, write_atomic
 from .embedding import EmbeddingTable, Vocabulary, embed_lookup
+from .functions import cross_entropy
 from .network import (
     ModelParams,
     NetworkConfig,
@@ -30,11 +34,7 @@ from .network import (
     forward,
     init_params,
     predict,
-    sample_loss,
 )
-
-if TYPE_CHECKING:
-    from .training import ComparisonReport, CvReport, TrainReport
 
 
 @dataclass
@@ -45,7 +45,6 @@ class EvalResult:
     per_class_accuracy: dict[int, float]
     confusion: dict[str, int]  # TP / TN / FP / FN with label 1 as positive
     n_evaluated: int
-    kind: str = field(default="eval", repr=False)
 
     @property
     def macro_accuracy(self) -> float:
@@ -61,6 +60,28 @@ class EvalResult:
             "n_evaluated": self.n_evaluated,
         }
 
+    def summary_row(self, run_id: str = "eval") -> dict:
+        """The summary.csv row of this result."""
+        return {
+            "run_id": run_id,
+            "accuracy": self.accuracy,
+            "macro_accuracy": self.macro_accuracy,
+            "acc_class_0": self.per_class_accuracy.get(0),
+            "acc_class_1": self.per_class_accuracy.get(1),
+            "n": self.n_evaluated,
+        }
+
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        md = [
+            "## Evaluation\n",
+            f"- accuracy: {_fmt(self.accuracy)}",
+            f"- macro accuracy: {_fmt(self.macro_accuracy)}",
+            f"- confusion: {self.confusion}",
+            "",
+        ]
+        return [], [self.summary_row()], md
+
 
 @dataclass
 class StratumEval:
@@ -71,7 +92,6 @@ class StratumEval:
     result: EvalResult
     mean_true_class_prob: float
     doc_indices: tuple[int, ...] = ()
-    kind: str = field(default="stratum", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +101,12 @@ class StratumEval:
             "doc_indices": list(self.doc_indices),
             **self.result.to_dict(),
         }
+
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        row = self.result.summary_row(f"class{self.class_label}-stratum{self.stratum}")
+        row["mean_true_class_prob"] = self.mean_true_class_prob
+        return [], [row], []
 
 
 @dataclass
@@ -93,7 +119,6 @@ class TimingStats:
     max_ms: float
     n_measurements: int
     warmup: int
-    kind: str = field(default="timing", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -104,6 +129,17 @@ class TimingStats:
             "n_measurements": self.n_measurements,
             "warmup": self.warmup,
         }
+
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        md = [
+            "## Inference timing (hardware-dependent)\n",
+            f"- per-sample ms: median {_fmt(self.median_ms)}, mean {_fmt(self.mean_ms)}, "
+            f"min {_fmt(self.min_ms)}, max {_fmt(self.max_ms)} "
+            f"over {self.n_measurements} calls ({self.warmup} warmup discarded)",
+            "",
+        ]
+        return [], [], md
 
 
 @dataclass
@@ -117,7 +153,6 @@ class GradCheckReport:
     h: float
     tol: float
     label: str = ""
-    kind: str = field(default="gradcheck", repr=False)
 
     @property
     def worst(self) -> float:
@@ -134,9 +169,29 @@ class GradCheckReport:
             "tol": self.tol,
         }
 
-
-def _sentence_matrix(vocab, table, doc, max_width):
-    return embed_lookup(vocab, table, doc.tokens, min_rows=max_width)
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        tag = f"gradcheck-{self.label}" if self.label else "gradcheck"
+        md = [
+            f"## Gradient check{f' ({self.label})' if self.label else ''}\n",
+            "| parameter block | max relative error |",
+            "| --- | --- |",
+        ]
+        for name in sorted(self.max_rel_error):
+            md.append(f"| {name} | {_fmt(self.max_rel_error[name])} |")
+        md.append("")
+        status = "FLAGGED: " + ", ".join(self.flagged_blocks) if self.flagged_blocks else "all blocks pass"
+        md.append(f"{self.trials} trials, h={_fmt(self.h)}, tol={_fmt(self.tol)}: {status}\n")
+        summary_rows = [
+            {
+                "run_id": f"{tag}-{name}",
+                "max_rel_error": self.max_rel_error[name],
+                "flagged": name in self.flagged_blocks,
+                "n": self.trials,
+            }
+            for name in sorted(self.max_rel_error)
+        ]
+        return [], summary_rows, md
 
 
 def _predict_all(
@@ -148,7 +203,7 @@ def _predict_all(
     vocab, table = embeddings
     max_width = params.config.max_width
     return [
-        predict(params, _sentence_matrix(vocab, table, doc, max_width))
+        predict(params, embed_lookup(vocab, table, doc.tokens, min_rows=max_width))
         for doc in dataset.documents
     ]
 
@@ -250,7 +305,7 @@ def measure_inference_time(
         raise ValueError("repeats must be >= 1")
     vocab, table = embeddings
     max_width = params.config.max_width
-    matrices = [_sentence_matrix(vocab, table, doc, max_width) for doc in samples]
+    matrices = [embed_lookup(vocab, table, doc.tokens, min_rows=max_width) for doc in samples]
     for i in range(warmup):
         predict(params, matrices[i % len(matrices)])
     times = []
@@ -273,7 +328,7 @@ def measure_inference_time(
 def _numeric_gradients(params, sentence, target, weight, h, mask_seed):
     def loss_at(p):
         rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
-        return sample_loss(forward(p, sentence, rng=rng), target, weight)
+        return cross_entropy(forward(p, sentence, rng=rng).probs, target, weight)
 
     numeric = params.zeros_like()
     for (name, block), (_, out) in zip(params.named_blocks(), numeric.named_blocks()):
@@ -413,169 +468,12 @@ def strip_timing(payload):
     return payload
 
 
-def _train_metric_rows(report: "TrainReport"):
-    for stats in report.epochs:
-        yield {
-            "run_id": report.run_id,
-            "preset": report.preset,
-            "dataset": report.dataset_name,
-            "epoch": stats.epoch,
-            "train_loss": stats.train_loss,
-            "train_acc": stats.train_acc,
-            "val_acc": stats.val_acc,
-            "ms": stats.ms,
-        }
-
-
-def _train_summary_row(report: "TrainReport", result: "EvalResult | None" = None):
-    row = {
-        "run_id": report.run_id,
-        "preset": report.preset,
-        "dataset": report.dataset_name,
-        "accuracy": result.accuracy if result else report.best_validation_accuracy,
-        "convergence_epoch": report.convergence_epoch,
-        "n": result.n_evaluated if result else len(report.epochs),
-    }
-    if result:
-        row["macro_accuracy"] = result.macro_accuracy
-        row["acc_class_0"] = result.per_class_accuracy.get(0)
-        row["acc_class_1"] = result.per_class_accuracy.get(1)
-    return row
-
-
-def _collect_rows(report):
-    """(metric_rows, summary_rows, markdown_lines) for one report object."""
-    metric_rows: list[dict] = []
-    summary_rows: list[dict] = []
-    md: list[str] = []
-    kind = getattr(report, "kind", None)
-
-    if kind == "train":
-        metric_rows.extend(_train_metric_rows(report))
-        summary_rows.append(_train_summary_row(report))
-        md.append(f"## Training run `{report.run_id or 'train'}`\n")
-        md.append(f"- preset: `{report.preset}`  dataset: `{report.dataset_name}`")
-        md.append(f"- best validation accuracy: {_fmt(report.best_validation_accuracy)}")
-        md.append(f"- convergence epoch: {report.convergence_epoch}")
-        md.append("")
-    elif kind == "cv":
-        md.append(f"## {report.k_folds}-fold cross-validation\n")
-        md.append("| fold | test accuracy | macro accuracy | convergence epoch |")
-        md.append("| --- | --- | --- | --- |")
-        for fold_report, fold_eval in zip(report.fold_reports, report.fold_evals):
-            metric_rows.extend(_train_metric_rows(fold_report))
-            summary_rows.append(_train_summary_row(fold_report, fold_eval))
-            md.append(
-                f"| {fold_report.run_id} | {_fmt(fold_eval.accuracy)} "
-                f"| {_fmt(fold_eval.macro_accuracy)} | {fold_report.convergence_epoch} |"
-            )
-        agg = report.aggregate
-        summary_rows.append(
-            {
-                "run_id": "aggregate",
-                "preset": report.fold_reports[0].preset,
-                "dataset": report.fold_reports[0].dataset_name,
-                "accuracy": agg["accuracy_mean"],
-                "accuracy_std": agg["accuracy_std"],
-                "convergence_epoch": agg["convergence_epoch_mean"],
-                "convergence_epoch_std": agg["convergence_epoch_std"],
-                "macro_accuracy": agg["macro_accuracy_mean"],
-                "n": report.k_folds,
-            }
-        )
-        md.append(
-            f"\nMean accuracy {_fmt(agg['accuracy_mean'])} "
-            f"(std {_fmt(agg['accuracy_std'])}), "
-            f"mean convergence epoch {_fmt(agg['convergence_epoch_mean'])} "
-            f"(std {_fmt(agg['convergence_epoch_std'])}).\n"
-        )
-    elif kind == "comparison":
-        md.append("## Paired comparison\n")
-        md.append(
-            "| seed | "
-            f"{report.baseline_label} accuracy | {report.baseline_label} epochs | "
-            f"{report.proposed_label} accuracy | {report.proposed_label} epochs |"
-        )
-        md.append("| --- | --- | --- | --- | --- |")
-        for row in report.rows:
-            for arm in (row.baseline, row.proposed):
-                metric_rows.extend(_train_metric_rows(arm.report))
-                summary_rows.append(_train_summary_row(arm.report, arm.result))
-            md.append(
-                f"| {row.seed} | {_fmt(row.baseline.result.accuracy)} "
-                f"| {row.baseline.report.convergence_epoch} "
-                f"| {_fmt(row.proposed.result.accuracy)} "
-                f"| {row.proposed.report.convergence_epoch} |"
-            )
-        md.append("")
-        for name, value in sorted(report.win_counts.items()):
-            md.append(f"- {name}: {value}")
-        md.append("")
-    elif kind == "eval":
-        summary_rows.append(
-            {
-                "run_id": "eval",
-                "accuracy": report.accuracy,
-                "macro_accuracy": report.macro_accuracy,
-                "acc_class_0": report.per_class_accuracy.get(0),
-                "acc_class_1": report.per_class_accuracy.get(1),
-                "n": report.n_evaluated,
-            }
-        )
-        md.append("## Evaluation\n")
-        md.append(f"- accuracy: {_fmt(report.accuracy)}")
-        md.append(f"- macro accuracy: {_fmt(report.macro_accuracy)}")
-        md.append(f"- confusion: {report.confusion}")
-        md.append("")
-    elif kind == "stratum":
-        summary_rows.append(
-            {
-                "run_id": f"class{report.class_label}-stratum{report.stratum}",
-                "accuracy": report.result.accuracy,
-                "macro_accuracy": report.result.macro_accuracy,
-                "acc_class_0": report.result.per_class_accuracy.get(0),
-                "acc_class_1": report.result.per_class_accuracy.get(1),
-                "mean_true_class_prob": report.mean_true_class_prob,
-                "n": report.result.n_evaluated,
-            }
-        )
-    elif kind == "timing":
-        md.append("## Inference timing (hardware-dependent)\n")
-        md.append(
-            f"- per-sample ms: median {_fmt(report.median_ms)}, mean {_fmt(report.mean_ms)}, "
-            f"min {_fmt(report.min_ms)}, max {_fmt(report.max_ms)} "
-            f"over {report.n_measurements} calls ({report.warmup} warmup discarded)"
-        )
-        md.append("")
-    elif kind == "gradcheck":
-        tag = f"gradcheck-{report.label}" if report.label else "gradcheck"
-        md.append(f"## Gradient check{f' ({report.label})' if report.label else ''}\n")
-        md.append("| parameter block | max relative error |")
-        md.append("| --- | --- |")
-        for name in sorted(report.max_rel_error):
-            md.append(f"| {name} | {_fmt(report.max_rel_error[name])} |")
-        md.append("")
-        status = "FLAGGED: " + ", ".join(report.flagged_blocks) if report.flagged_blocks else "all blocks pass"
-        md.append(f"{report.trials} trials, h={_fmt(report.h)}, tol={_fmt(report.tol)}: {status}\n")
-        for name in sorted(report.max_rel_error):
-            summary_rows.append(
-                {
-                    "run_id": f"{tag}-{name}",
-                    "max_rel_error": report.max_rel_error[name],
-                    "flagged": name in report.flagged_blocks,
-                    "n": report.trials,
-                }
-            )
-    else:
-        raise TypeError(f"emit_report cannot handle {type(report).__name__}")
-    return metric_rows, summary_rows, md
-
-
 def emit_report(reports, out_dir: str | Path) -> list[Path]:
     """Write metrics.csv, summary.csv, and report.md for the given reports.
 
-    `reports` may be a single report object or a list mixing the supported
-    kinds. An empty list is rejected before anything touches the disk.
+    `reports` may be a single report object or a list mixing report types;
+    each contributes its `report_rows()`. An empty list, or an object
+    without that method, is rejected before anything touches the disk.
     """
     if reports is None:
         raise ValueError("no reports to emit")
@@ -583,36 +481,33 @@ def emit_report(reports, out_dir: str | Path) -> list[Path]:
         reports = [reports]
     if len(reports) == 0:
         raise ValueError("no reports to emit")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     metric_rows: list[dict] = []
     summary_rows: list[dict] = []
     md_lines: list[str] = ["# Results\n"]
     for report in reports:
-        m, s, md = _collect_rows(report)
+        if not hasattr(report, "report_rows"):
+            raise TypeError(f"emit_report cannot handle {type(report).__name__}")
+        m, s, md = report.report_rows()
         metric_rows.extend(m)
         summary_rows.extend(s)
         md_lines.extend(md)
 
-    written = []
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
-    with metrics_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRICS_COLUMNS)
-        for row in metric_rows:
-            writer.writerow([_fmt(row.get(c)) for c in METRICS_COLUMNS])
-    written.append(metrics_path)
-
+    write_atomic(metrics_path, _csv_text(METRICS_COLUMNS, metric_rows))
     summary_path = out / "summary.csv"
-    with summary_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow([_fmt(row.get(c)) for c in SUMMARY_COLUMNS])
-    written.append(summary_path)
-
+    write_atomic(summary_path, _csv_text(SUMMARY_COLUMNS, summary_rows))
     md_path = out / "report.md"
-    md_path.write_text("\n".join(md_lines) + "\n", encoding="utf-8")
-    written.append(md_path)
-    return written
+    write_atomic(md_path, "\n".join(md_lines) + "\n")
+    return [metrics_path, summary_path, md_path]
+
+
+def _csv_text(columns: list[str], rows: list[dict]) -> str:
+    """RFC-4180 text of a header plus one line per row (CRLF line ends)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(c)) for c in columns])
+    return buffer.getvalue()

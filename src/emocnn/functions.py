@@ -10,19 +10,18 @@ Five activation kinds are supported:
 
 `mlrelu-literal` has a negative left-branch slope and a jump at x = -a;
 `mlrelu-continuous` keeps slope a on the left and is continuous at the
-inflection point. Both are selectable; training defaults to the continuous
-form. All functions accept scalars or numpy arrays.
+inflection point. Both are selectable as `Activation(kind, a)`; training
+defaults to the continuous form. All functions accept scalars or numpy
+arrays. `weights_from_counts` gives the class weights W(c) = n / (k * count(c))
+as a label -> weight dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .corpus import LabeledDataset
 
 LOG_EPS = 1e-12
 
@@ -33,8 +32,6 @@ ACTIVATION_KINDS = (
     "mlrelu-literal",
     "mlrelu-continuous",
 )
-
-_PARAMETRIC = {"drelu", "mlrelu-literal", "mlrelu-continuous"}
 
 
 @dataclass(frozen=True)
@@ -58,26 +55,6 @@ class Activation:
         if self.kind == "lrelu":
             return 0.0
         return -self.a
-
-
-def sigmoid_activation() -> Activation:
-    return Activation("sigmoid")
-
-
-def lrelu() -> Activation:
-    return Activation("lrelu")
-
-
-def drelu(a: float = 0.03) -> Activation:
-    return Activation("drelu", a)
-
-
-def mlrelu_literal(a: float = 0.03) -> Activation:
-    return Activation("mlrelu-literal", a)
-
-
-def mlrelu_continuous(a: float = 0.03) -> Activation:
-    return Activation("mlrelu-continuous", a)
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -147,37 +124,19 @@ def softmax(logits) -> np.ndarray:
     return ex / ex.sum()
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss weights, W(c) = n / (k * count(c)).
+def weights_from_counts(class_counts: Mapping[int, int]) -> dict[int, float]:
+    """Per-class loss weights W(c) = n / (k * count(c)), label -> weight.
 
-    Summed over every sample of the dataset these weights recover n exactly,
-    so balanced data degenerates to the unweighted loss.
+    Classes with no samples are dropped, so every weight is positive. Summed
+    over every sample of the dataset the weights recover n exactly, so
+    balanced data degenerates to the unweighted loss.
     """
-
-    weights: Mapping[int, float]
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.weights.values()):
-            raise ValueError("class weights must be positive")
-
-    def for_label(self, label: int) -> float:
-        return self.weights[label]
-
-
-def weights_from_counts(class_counts: Mapping[int, int]) -> ClassWeights:
-    """Compute W(c) = n / (k * count(c)) from per-class sample counts."""
     counts = {c: int(m) for c, m in class_counts.items() if m > 0}
     k = len(counts)
     if k == 0:
         raise ValueError("cannot compute class weights: no classes present")
     n = sum(counts.values())
-    return ClassWeights({c: n / (k * m) for c, m in counts.items()})
-
-
-def class_weights(dataset: "LabeledDataset") -> ClassWeights:
-    """Class weights for a labeled dataset (see `weights_from_counts`)."""
-    return weights_from_counts(dataset.class_counts)
+    return {c: n / (k * m) for c, m in counts.items()}
 
 
 def cross_entropy(probs, target: int, weight: float = 1.0) -> float:

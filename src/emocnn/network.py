@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import DataError
-from .functions import Activation, activation_apply, activation_grad, cross_entropy, softmax
+from .corpus import DataError, json_artifact, write_atomic
+from .functions import Activation, activation_apply, activation_grad, softmax
 
 MODEL_SCHEMA_VERSION = 1
 LOSS_CONVENTION = "sum-over-batch"
@@ -169,21 +169,6 @@ def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.
     return pre
 
 
-def conv_forward(filt: np.ndarray, bias: float, sentence: np.ndarray, activation: Activation) -> np.ndarray:
-    """Feature map of a single filter slid over the sentence matrix."""
-    pre = _conv_pre_activations(filt[None, :, :], np.array([bias]), sentence)
-    return activation_apply(activation, pre[0])
-
-
-def maxpool(feature_map: np.ndarray) -> tuple[float, int]:
-    """Maximum of the map and the smallest index attaining it."""
-    arr = np.asarray(feature_map)
-    if arr.size == 0:
-        raise ValueError("cannot max-pool an empty feature map")
-    idx = int(np.argmax(arr))
-    return float(arr[idx]), idx
-
-
 def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     """Inverted dropout mask: entries are 0 or 1/(1-p), E[mask] = 1."""
     keep = rng.random(size) >= p
@@ -242,11 +227,6 @@ def forward(
         logits=logits,
         probs=probs,
     )
-
-
-def sample_loss(trace: ForwardTrace, target: int, sample_weight: float = 1.0) -> float:
-    """Weighted cross-entropy of one traced sample."""
-    return cross_entropy(trace.probs, target, sample_weight)
 
 
 def backward(
@@ -364,7 +344,7 @@ def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -
         "embedding_ref": embedding_ref,
         "loss_convention": LOSS_CONVENTION,
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(path, json.dumps(payload))
 
 
 def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParams:
@@ -374,49 +354,44 @@ def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParam
     digest is refused: the model would score a table it never saw.
     """
     src = Path(path)
-    if not src.is_file():
-        raise DataError(f"model checkpoint not found: {src}")
-    try:
-        payload = json.loads(src.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot parse model checkpoint {src}: {exc}") from exc
-    if payload.get("version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"{src}: unsupported model checkpoint version")
-    stored_ref = payload.get("embedding_ref", "")
-    if embedding_ref is not None and stored_ref and stored_ref != embedding_ref:
-        raise DataError(
-            f"{src}: model was trained with embeddings {stored_ref!r}, "
-            f"but the given table has digest {embedding_ref!r}"
-        )
-    config = config_from_dict(payload["config"])
-    d = config.embedding_dim
-    entries = payload["filters"]
-    if len(entries) != config.total_maps:
-        raise DataError(
-            f"{src}: expected {config.total_maps} filters, found {len(entries)}"
-        )
-    filters = {w: np.empty((config.maps_per_width, w, d)) for w in config.filter_widths}
-    biases = {w: np.empty(config.maps_per_width) for w in config.filter_widths}
-    counters = {w: 0 for w in config.filter_widths}
-    for entry in entries:
-        w = int(entry["width"])
-        if w not in filters:
-            raise DataError(f"{src}: filter width {w} not in config")
-        j = counters[w]
-        if j >= config.maps_per_width:
-            raise DataError(f"{src}: too many filters of width {w}")
-        weights = np.asarray(entry["weights"], dtype=np.float64)
-        if weights.size != w * d:
-            raise DataError(f"{src}: filter of width {w} has {weights.size} weights, expected {w * d}")
-        filters[w][j] = weights.reshape(w, d)
-        biases[w][j] = float(entry["bias"])
-        counters[w] += 1
-    fc_weights = np.asarray(payload["fc_weights"], dtype=np.float64)
-    if fc_weights.size != config.num_classes * config.total_maps:
-        raise DataError(f"{src}: fully connected weight shape mismatch")
-    fc_bias = np.asarray(payload["fc_bias"], dtype=np.float64)
-    if fc_bias.size != config.num_classes:
-        raise DataError(f"{src}: fully connected bias shape mismatch")
+    with json_artifact(src, "model checkpoint") as payload:
+        if payload.get("version") != MODEL_SCHEMA_VERSION:
+            raise DataError(f"{src}: unsupported model checkpoint version")
+        stored_ref = payload.get("embedding_ref", "")
+        if embedding_ref is not None and stored_ref and stored_ref != embedding_ref:
+            raise DataError(
+                f"{src}: model was trained with embeddings {stored_ref!r}, "
+                f"but the given table has digest {embedding_ref!r}"
+            )
+        config = config_from_dict(payload["config"])
+        d = config.embedding_dim
+        entries = payload["filters"]
+        if len(entries) != config.total_maps:
+            raise DataError(
+                f"{src}: expected {config.total_maps} filters, found {len(entries)}"
+            )
+        filters = {w: np.empty((config.maps_per_width, w, d)) for w in config.filter_widths}
+        biases = {w: np.empty(config.maps_per_width) for w in config.filter_widths}
+        counters = {w: 0 for w in config.filter_widths}
+        for entry in entries:
+            w = int(entry["width"])
+            if w not in filters:
+                raise DataError(f"{src}: filter width {w} not in config")
+            j = counters[w]
+            if j >= config.maps_per_width:
+                raise DataError(f"{src}: too many filters of width {w}")
+            weights = np.asarray(entry["weights"], dtype=np.float64)
+            if weights.size != w * d:
+                raise DataError(f"{src}: filter of width {w} has {weights.size} weights, expected {w * d}")
+            filters[w][j] = weights.reshape(w, d)
+            biases[w][j] = float(entry["bias"])
+            counters[w] += 1
+        fc_weights = np.asarray(payload["fc_weights"], dtype=np.float64)
+        if fc_weights.size != config.num_classes * config.total_maps:
+            raise DataError(f"{src}: fully connected weight shape mismatch")
+        fc_bias = np.asarray(payload["fc_bias"], dtype=np.float64)
+        if fc_bias.size != config.num_classes:
+            raise DataError(f"{src}: fully connected bias shape mismatch")
     return ModelParams(
         config=config,
         filters=filters,

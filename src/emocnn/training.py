@@ -17,14 +17,14 @@ in a report is bit-reproducible for fixed seeds on one machine.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import LabeledDataset
-from .embedding import EmbeddingTable, Vocabulary
-from .evaluation import EvalResult, evaluate
-from .functions import Activation, class_weights
+from .embedding import EmbeddingTable, Vocabulary, embed_lookup
+from .evaluation import EvalResult, _fmt, evaluate
+from .functions import Activation, cross_entropy, weights_from_counts
 from .network import (
     ModelParams,
     NetworkConfig,
@@ -32,7 +32,6 @@ from .network import (
     forward,
     init_params,
     params_digest,
-    sample_loss,
     sgd_step,
 )
 
@@ -102,7 +101,6 @@ class TrainReport:
     run_id: str = ""
     preset: str = ""
     dataset_name: str = ""
-    kind: str = field(default="train", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -118,6 +116,42 @@ class TrainReport:
             "class_weights": {str(c): w for c, w in sorted(self.class_weights.items())},
         }
 
+    def metric_rows(self):
+        """One metrics.csv row per epoch."""
+        for stats in self.epochs:
+            yield {
+                "run_id": self.run_id,
+                "preset": self.preset,
+                "dataset": self.dataset_name,
+                "epoch": stats.epoch,
+                "train_loss": stats.train_loss,
+                "train_acc": stats.train_acc,
+                "val_acc": stats.val_acc,
+                "ms": stats.ms,
+            }
+
+    def summary_row(self, result: EvalResult | None = None) -> dict:
+        """The summary.csv row of this run, scored on `result` when given."""
+        if result:
+            row = result.summary_row(self.run_id)
+        else:
+            row = {"run_id": self.run_id, "accuracy": self.best_validation_accuracy,
+                   "n": len(self.epochs)}
+        row.update(preset=self.preset, dataset=self.dataset_name,
+                   convergence_epoch=self.convergence_epoch)
+        return row
+
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        md = [
+            f"## Training run `{self.run_id or 'train'}`\n",
+            f"- preset: `{self.preset}`  dataset: `{self.dataset_name}`",
+            f"- best validation accuracy: {_fmt(self.best_validation_accuracy)}",
+            f"- convergence epoch: {self.convergence_epoch}",
+            "",
+        ]
+        return list(self.metric_rows()), [self.summary_row()], md
+
 
 @dataclass
 class CvReport:
@@ -126,7 +160,6 @@ class CvReport:
     fold_reports: list[TrainReport]
     fold_evals: list[EvalResult]
     aggregate: dict[str, float]
-    kind: str = field(default="cv", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -137,6 +170,44 @@ class CvReport:
             "fold_evals": [e.to_dict() for e in self.fold_evals],
             "aggregate": dict(self.aggregate),
         }
+
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        metric_rows: list[dict] = []
+        summary_rows: list[dict] = []
+        md = [
+            f"## {self.k_folds}-fold cross-validation\n",
+            "| fold | test accuracy | macro accuracy | convergence epoch |",
+            "| --- | --- | --- | --- |",
+        ]
+        for fold_report, fold_eval in zip(self.fold_reports, self.fold_evals):
+            metric_rows.extend(fold_report.metric_rows())
+            summary_rows.append(fold_report.summary_row(fold_eval))
+            md.append(
+                f"| {fold_report.run_id} | {_fmt(fold_eval.accuracy)} "
+                f"| {_fmt(fold_eval.macro_accuracy)} | {fold_report.convergence_epoch} |"
+            )
+        agg = self.aggregate
+        summary_rows.append(
+            {
+                "run_id": "aggregate",
+                "preset": self.fold_reports[0].preset,
+                "dataset": self.fold_reports[0].dataset_name,
+                "accuracy": agg["accuracy_mean"],
+                "accuracy_std": agg["accuracy_std"],
+                "convergence_epoch": agg["convergence_epoch_mean"],
+                "convergence_epoch_std": agg["convergence_epoch_std"],
+                "macro_accuracy": agg["macro_accuracy_mean"],
+                "n": self.k_folds,
+            }
+        )
+        md.append(
+            f"\nMean accuracy {_fmt(agg['accuracy_mean'])} "
+            f"(std {_fmt(agg['accuracy_std'])}), "
+            f"mean convergence epoch {_fmt(agg['convergence_epoch_mean'])} "
+            f"(std {_fmt(agg['convergence_epoch_std'])}).\n"
+        )
+        return metric_rows, summary_rows, md
 
 
 @dataclass
@@ -178,7 +249,6 @@ class ComparisonReport:
     win_counts: dict[str, int]
     baseline_label: str = "baseline"
     proposed_label: str = "proposed"
-    kind: str = field(default="comparison", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -190,15 +260,36 @@ class ComparisonReport:
             "win_counts": dict(self.win_counts),
         }
 
+    def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
+        """(metric rows, summary rows, markdown lines) for `emit_report`."""
+        metric_rows: list[dict] = []
+        summary_rows: list[dict] = []
+        md = [
+            "## Paired comparison\n",
+            "| seed | "
+            f"{self.baseline_label} accuracy | {self.baseline_label} epochs | "
+            f"{self.proposed_label} accuracy | {self.proposed_label} epochs |",
+            "| --- | --- | --- | --- | --- |",
+        ]
+        for row in self.rows:
+            for arm in (row.baseline, row.proposed):
+                metric_rows.extend(arm.report.metric_rows())
+                summary_rows.append(arm.report.summary_row(arm.result))
+            md.append(
+                f"| {row.seed} | {_fmt(row.baseline.result.accuracy)} "
+                f"| {row.baseline.report.convergence_epoch} "
+                f"| {_fmt(row.proposed.result.accuracy)} "
+                f"| {row.proposed.report.convergence_epoch} |"
+            )
+        md.append("")
+        for name, value in sorted(self.win_counts.items()):
+            md.append(f"- {name}: {value}")
+        md.append("")
+        return metric_rows, summary_rows, md
 
-def convergence_epoch(history, epsilon: float, patience: int) -> int:
-    """Best-validation epoch under the epsilon/patience early-stop rule.
 
-    Training counts as converged once `patience` consecutive epochs fail to
-    beat the running best by more than `epsilon`; the answer is the (1-based)
-    epoch holding the running best at that point, or over the full history
-    if the rule never triggers.
-    """
+def _early_stop(history, epsilon: float, patience: int) -> tuple[int, bool]:
+    """(best epoch, whether the rule triggered) for `convergence_epoch`'s rule."""
     history = list(history)
     if not history:
         raise ValueError("history must be non-empty")
@@ -214,8 +305,19 @@ def convergence_epoch(history, epsilon: float, patience: int) -> int:
             best = acc
             best_epoch = epoch
         if misses >= patience:
-            return best_epoch
-    return best_epoch
+            return best_epoch, True
+    return best_epoch, False
+
+
+def convergence_epoch(history, epsilon: float, patience: int) -> int:
+    """Best-validation epoch under the epsilon/patience early-stop rule.
+
+    Training counts as converged once `patience` consecutive epochs fail to
+    beat the running best by more than `epsilon`; the answer is the (1-based)
+    epoch holding the running best at that point, or over the full history
+    if the rule never triggers.
+    """
+    return _early_stop(history, epsilon, patience)[0]
 
 
 def _stratified_split(dataset: LabeledDataset, fraction: float, rng) -> tuple[list[int], list[int]]:
@@ -232,14 +334,6 @@ def _stratified_split(dataset: LabeledDataset, fraction: float, rng) -> tuple[li
         held.extend(int(i) for i in idx[:n_held])
         rest.extend(int(i) for i in idx[n_held:])
     return sorted(rest), sorted(held)
-
-
-def _sentence(table: EmbeddingTable, indices: np.ndarray, max_width: int) -> np.ndarray:
-    matrix = table.vectors[indices]
-    if matrix.shape[0] < max_width:
-        pad = np.zeros((max_width - matrix.shape[0], table.dim))
-        matrix = np.vstack([matrix, pad])
-    return matrix
 
 
 def train(
@@ -272,20 +366,15 @@ def train(
     val_docs = [dataset.documents[i] for i in val_idx]
 
     if config.loss_mode == "weighted":
-        weights = class_weights(LabeledDataset.from_documents(train_docs)).weights
+        weights = weights_from_counts(LabeledDataset.from_documents(train_docs).class_counts)
     else:
         weights = {c: 1.0 for c in dataset.class_counts}
 
     max_width = net.max_width
-    train_tokens = [vocab.indices(d.tokens) for d in train_docs]
-    val_tokens = [vocab.indices(d.tokens) for d in val_docs]
-
     params = init_params(net)
     best_params = params
-    best_acc = -np.inf
-    misses = 0
+    best_epoch = 0
     history: list[EpochStats] = []
-    val_history: list[float] = []
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -297,10 +386,10 @@ def train(
             batch_grads = params.zeros_like()
             for i in batch:
                 doc = train_docs[i]
-                sentence = _sentence(table, train_tokens[i], max_width)
+                sentence = embed_lookup(vocab, table, doc.tokens, min_rows=max_width)
                 trace = forward(params, sentence, rng=rng)
                 weight = weights[doc.label]
-                loss = sample_loss(trace, doc.label, weight)
+                loss = cross_entropy(trace.probs, doc.label, weight)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"non-finite loss at epoch {epoch}, "
@@ -312,8 +401,8 @@ def train(
             params = sgd_step(params, batch_grads, config.learning_rate)
 
         val_correct = 0
-        for doc, tokens in zip(val_docs, val_tokens):
-            trace = forward(params, _sentence(table, tokens, max_width))
+        for doc in val_docs:
+            trace = forward(params, embed_lookup(vocab, table, doc.tokens, min_rows=max_width))
             val_correct += int(np.argmax(trace.probs)) == doc.label
         val_acc = val_correct / len(val_docs)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -327,24 +416,19 @@ def train(
                 ms=elapsed_ms,
             )
         )
-        val_history.append(val_acc)
-        if val_acc > best_acc + config.convergence_epsilon:
-            misses = 0
-        else:
-            misses += 1
-        if val_acc > best_acc:
-            best_acc = val_acc
+        best_epoch, stop = _early_stop(
+            [e.val_acc for e in history], config.convergence_epsilon, config.convergence_patience
+        )
+        if best_epoch == epoch:
             best_params = params
-        if misses >= config.convergence_patience:
+        if stop:
             break
 
     report = TrainReport(
         seed=config.seed,
         epochs=history,
-        convergence_epoch=convergence_epoch(
-            val_history, config.convergence_epsilon, config.convergence_patience
-        ),
-        best_validation_accuracy=float(max(val_history)),
+        convergence_epoch=best_epoch,
+        best_validation_accuracy=float(max(e.val_acc for e in history)),
         params_ref=params_digest(best_params),
         class_weights=dict(weights),
         run_id=run_id,

@@ -28,9 +28,6 @@ from emocnn.functions import (
     ACTIVATION_KINDS,
     Activation,
     activation_grad,
-    mlrelu_continuous,
-    mlrelu_literal,
-    sigmoid_activation,
     weights_from_counts,
 )
 from emocnn.network import NetworkConfig
@@ -77,7 +74,7 @@ def test_criterion_2_weight_algebra():
     for _ in range(1000):
         counts = {0: int(rng.integers(1, 2000)), 1: int(rng.integers(1, 2000))}
         weights = weights_from_counts(counts)
-        total = sum(weights.for_label(c) * m for c, m in counts.items())
+        total = sum(weights[c] * m for c, m in counts.items())
         max_gap = max(max_gap, abs(total - sum(counts.values())))
     skewed = weights_from_counts({1: 1000, 0: 2000})
     balanced = weights_from_counts({0: 1000, 1: 1000})
@@ -85,10 +82,10 @@ def test_criterion_2_weight_algebra():
         2,
         "weight-sum identity and exact weights for known class counts",
         max_gap < 1e-9
-        and skewed.for_label(1) == 1.5
-        and skewed.for_label(0) == 0.75
-        and balanced.for_label(0) == 1.0
-        and balanced.for_label(1) == 1.0,
+        and skewed[1] == 1.5
+        and skewed[0] == 0.75
+        and balanced[0] == 1.0
+        and balanced[1] == 1.0,
         f"max |sum - n| = {max_gap:.2e}",
     )
 
@@ -100,7 +97,7 @@ def test_criterion_3_balanced_reduction():
     table = train_cbow(dataset, vocab, CbowConfig(window=2, dim=8, negatives=3,
                                                   epochs=1, seed=11))
     network = NetworkConfig(filter_widths=(2, 3), maps_per_width=4, embedding_dim=8,
-                            dropout_rate=0.2, activation=mlrelu_continuous(), seed=5)
+                            dropout_rate=0.2, activation=Activation("mlrelu-continuous"), seed=5)
     base = dict(network=network, learning_rate=0.05, batch_size=8, max_epochs=4, seed=5)
     _, weighted = train(dataset, (vocab, table), TrainConfig(loss_mode="weighted", **base))
     _, unweighted = train(dataset, (vocab, table), TrainConfig(loss_mode="unweighted", **base))
@@ -121,11 +118,11 @@ def test_criterion_4_no_saturation():
     rng = np.random.default_rng(42)
     x = rng.uniform(-50.0, 50.0, size=1_000_000)
     ok = True
-    for act in (mlrelu_continuous(0.03), mlrelu_literal(0.03)):
+    for act in (Activation("mlrelu-continuous", 0.03), Activation("mlrelu-literal", 0.03)):
         grads = np.abs(activation_grad(act, x))
         ok = ok and bool(np.all((grads == 0.03) | (grads == 1.0))) and not np.any(grads == 0.0)
     tails = rng.uniform(10.0, 50.0, size=100_000) * rng.choice([-1.0, 1.0], size=100_000)
-    sigmoid_tail = np.abs(activation_grad(sigmoid_activation(), tails))
+    sigmoid_tail = np.abs(activation_grad(Activation("sigmoid"), tails))
     contrast = bool(np.all(sigmoid_tail < 1e-4))
     _report(
         4,
@@ -154,7 +151,7 @@ def test_criterion_5_imbalance_remediation():
         for mode in ("weighted", "unweighted"):
             network = NetworkConfig(filter_widths=(2, 3), maps_per_width=2,
                                     embedding_dim=10, dropout_rate=0.4,
-                                    activation=mlrelu_continuous(), seed=seed)
+                                    activation=Activation("mlrelu-continuous"), seed=seed)
             config = TrainConfig(network=network, loss_mode=mode, learning_rate=0.005,
                                  batch_size=10, max_epochs=2, seed=seed)
             params, _ = train(train_ds, (vocab, table), config)

@@ -106,6 +106,38 @@ class TestEmbed:
                      "--out", str(tmp_path / "emb")]) == 2
 
 
+class TestMalformedArtifacts:
+    """A readable JSON artifact with a missing or mistyped field is a data error."""
+
+    def test_model_without_config(self, tmp_path, prepared, embedded, trained, capsys):
+        model = tmp_path / "model.json"
+        payload = json.loads((trained / "model.json").read_text())
+        del payload["config"]
+        model.write_text(json.dumps(payload))
+        code = main(["eval", "--model", str(model), "--data", str(prepared),
+                     "--embeddings", str(embedded), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+
+    def test_dataset_without_class_counts(self, tmp_path, prepared, embedded, capsys):
+        data = tmp_path / "dataset.json"
+        payload = json.loads(prepared.read_text())
+        del payload["class_counts"]
+        data.write_text(json.dumps(payload))
+        code = main(["train", "--data", str(data), "--embeddings", str(embedded),
+                     *FAST_TRAIN, "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert str(data) in capsys.readouterr().err
+
+    def test_embeddings_holding_a_list(self, tmp_path, prepared, capsys):
+        emb = tmp_path / "embeddings.json"
+        emb.write_text(json.dumps([1.0, 2.0]))
+        code = main(["train", "--data", str(prepared), "--embeddings", str(emb),
+                     *FAST_TRAIN, "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert str(emb) in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_model_report_and_csv(self, trained):
         assert (trained / "model.json").is_file()

@@ -46,8 +46,10 @@ def test_config_drives_a_real_run(tmp_path):
                  "--out", str(data_dir)]) == 0
     cfg = tmp_path / "embed.cfg"
     cfg.write_text("dim=4\nepochs=1\nrandom=true\n")
-    out = tmp_path / "emb"
-    assert main(["embed", "--data", str(data_dir / "dataset.json"),
-                 "--config", str(cfg), "--out", str(out)]) == 0
-    payload = json.loads((out / "embeddings.json").read_text())
-    assert payload["dim"] == 4
+    # argparse takes both spellings, so both must be expanded
+    for name, flag in (("emb", ["--config", str(cfg)]), ("emb_eq", [f"--config={cfg}"])):
+        out = tmp_path / name
+        assert main(["embed", "--data", str(data_dir / "dataset.json"),
+                     *flag, "--out", str(out)]) == 0
+        payload = json.loads((out / "embeddings.json").read_text())
+        assert payload["dim"] == 4

@@ -18,7 +18,7 @@ from emocnn.evaluation import (
     stratified_sample_eval,
     strip_timing,
 )
-from emocnn.functions import Activation, mlrelu_continuous
+from emocnn.functions import Activation
 from emocnn.network import NetworkConfig, init_params, predict
 from emocnn.training import run_fold_cv, train, TrainConfig
 
@@ -29,7 +29,7 @@ def make_fixture(n_per_class=30, dim=6, seed=3):
     vocab = build_vocab(dataset, min_count=1)
     table = init_random_embeddings(vocab, dim=dim, seed=seed)
     config = NetworkConfig(filter_widths=(2, 3), maps_per_width=2, embedding_dim=dim,
-                           dropout_rate=0.0, activation=mlrelu_continuous(), seed=seed)
+                           dropout_rate=0.0, activation=Activation("mlrelu-continuous"), seed=seed)
     return dataset, (vocab, table), init_params(config)
 
 
@@ -78,7 +78,7 @@ class TestEvaluate:
         vocab = build_vocab(dataset, min_count=1)
         embeddings = (vocab, init_random_embeddings(vocab, dim=8, seed=5))
         config = NetworkConfig(filter_widths=(2, 3), maps_per_width=4, embedding_dim=8,
-                               dropout_rate=0.2, activation=mlrelu_continuous(), seed=2)
+                               dropout_rate=0.2, activation=Activation("mlrelu-continuous"), seed=2)
         train_config = TrainConfig(network=config, learning_rate=0.05, batch_size=8,
                                    max_epochs=30, convergence_patience=8, seed=2)
         params, _ = train(dataset, embeddings, train_config)
@@ -210,7 +210,7 @@ class TestEmitReport:
     def cv_report(self):
         dataset, embeddings, _ = make_fixture(n_per_class=20)
         config = NetworkConfig(filter_widths=(2,), maps_per_width=2, embedding_dim=6,
-                               dropout_rate=0.0, activation=mlrelu_continuous(), seed=0)
+                               dropout_rate=0.0, activation=Activation("mlrelu-continuous"), seed=0)
         train_config = TrainConfig(network=config, learning_rate=0.05, batch_size=8,
                                    max_epochs=2, seed=0)
         return run_fold_cv(dataset, embeddings, train_config, k_folds=3, seed=5,

@@ -11,11 +11,6 @@ from emocnn.functions import (
     activation_apply,
     activation_grad,
     cross_entropy,
-    drelu,
-    lrelu,
-    mlrelu_continuous,
-    mlrelu_literal,
-    sigmoid_activation,
     softmax,
     weights_from_counts,
 )
@@ -28,30 +23,30 @@ def central_difference(act, x, h=1e-6):
 
 def all_activations(a=0.03):
     return [
-        sigmoid_activation(),
-        lrelu(),
-        drelu(a),
-        mlrelu_literal(a),
-        mlrelu_continuous(a),
+        Activation("sigmoid"),
+        Activation("lrelu"),
+        Activation("drelu", a),
+        Activation("mlrelu-literal", a),
+        Activation("mlrelu-continuous", a),
     ]
 
 
 class TestActivationValues:
     def test_sigmoid_at_zero(self):
-        assert activation_apply(sigmoid_activation(), 0.0) == 0.5
+        assert activation_apply(Activation("sigmoid"), 0.0) == 0.5
 
     def test_lrelu_negative_branch(self):
-        assert activation_apply(lrelu(), -2.0) == pytest.approx(-0.02)
+        assert activation_apply(Activation("lrelu"), -2.0) == pytest.approx(-0.02)
 
     def test_drelu_clamps_left_of_inflection(self):
-        assert activation_apply(drelu(0.03), -1.0) == pytest.approx(-0.03)
+        assert activation_apply(Activation("drelu", 0.03), -1.0) == pytest.approx(-0.03)
 
     def test_literal_left_branch_is_minus_a_x(self):
         # -a * x with a = 0.03 at x = -1 flips the sign
-        assert activation_apply(mlrelu_literal(0.03), -1.0) == pytest.approx(0.03)
+        assert activation_apply(Activation("mlrelu-literal", 0.03), -1.0) == pytest.approx(0.03)
 
     def test_continuous_variant_is_continuous_at_inflection(self):
-        act = mlrelu_continuous(0.03)
+        act = Activation("mlrelu-continuous", 0.03)
         assert activation_apply(act, -0.03) == pytest.approx(-0.03)
         eps = 1e-9
         left = activation_apply(act, -0.03 - eps)
@@ -59,24 +54,25 @@ class TestActivationValues:
         assert abs(left - right) < 1e-8
 
     def test_literal_variant_jumps_at_inflection(self):
-        act = mlrelu_literal(0.03)
+        act = Activation("mlrelu-literal", 0.03)
         left = activation_apply(act, -0.03 - 1e-12)
         right = activation_apply(act, -0.03 + 1e-12)
         assert abs(left - right) == pytest.approx(0.03 + 0.03**2, abs=1e-6)
 
     def test_identity_right_of_inflection(self):
-        for act in (drelu(0.03), mlrelu_literal(0.03), mlrelu_continuous(0.03)):
+        for act in (Activation("drelu", 0.03), Activation("mlrelu-literal", 0.03),
+                    Activation("mlrelu-continuous", 0.03)):
             assert activation_apply(act, 1.7) == 1.7
 
     def test_array_input(self):
-        out = activation_apply(lrelu(), np.array([-1.0, 2.0]))
+        out = activation_apply(Activation("lrelu"), np.array([-1.0, 2.0]))
         np.testing.assert_allclose(out, [-0.01, 2.0])
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
-            activation_apply(lrelu(), float("nan"))
+            activation_apply(Activation("lrelu"), float("nan"))
         with pytest.raises(ValueError):
-            activation_grad(sigmoid_activation(), float("inf"))
+            activation_grad(Activation("sigmoid"), float("inf"))
 
     def test_invalid_kind_and_parameter(self):
         with pytest.raises(ValueError):
@@ -87,17 +83,18 @@ class TestActivationValues:
 
 class TestActivationGradients:
     def test_sigmoid_grad_at_zero(self):
-        assert activation_grad(sigmoid_activation(), 0.0) == pytest.approx(0.25)
+        assert activation_grad(Activation("sigmoid"), 0.0) == pytest.approx(0.25)
 
     def test_continuous_left_slope_is_a(self):
-        assert activation_grad(mlrelu_continuous(0.03), -5.0) == 0.03
+        assert activation_grad(Activation("mlrelu-continuous", 0.03), -5.0) == 0.03
 
     def test_literal_left_slope_is_minus_a(self):
-        assert activation_grad(mlrelu_literal(0.03), -5.0) == -0.03
+        assert activation_grad(Activation("mlrelu-literal", 0.03), -5.0) == -0.03
 
     def test_boundary_uses_right_branch(self):
-        assert activation_grad(lrelu(), 0.0) == 1.0
-        for act in (drelu(0.03), mlrelu_literal(0.03), mlrelu_continuous(0.03)):
+        assert activation_grad(Activation("lrelu"), 0.0) == 1.0
+        for act in (Activation("drelu", 0.03), Activation("mlrelu-literal", 0.03),
+                    Activation("mlrelu-continuous", 0.03)):
             assert activation_grad(act, -0.03) == 1.0
 
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
@@ -119,13 +116,13 @@ class TestActivationGradients:
     def test_modified_kinds_never_saturate(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-50, 50, size=10000)
-        for act in (mlrelu_literal(0.03), mlrelu_continuous(0.03)):
+        for act in (Activation("mlrelu-literal", 0.03), Activation("mlrelu-continuous", 0.03)):
             grads = np.abs(activation_grad(act, x))
             assert np.all((grads == 0.03) | (grads == 1.0))
 
     def test_sigmoid_saturates_in_the_tails(self):
         x = np.array([10.5, -10.5, 20.0, -20.0])
-        grads = activation_grad(sigmoid_activation(), x)
+        grads = activation_grad(Activation("sigmoid"), x)
         assert np.all(grads < 1e-4)
 
 
@@ -160,17 +157,17 @@ class TestSoftmax:
 class TestClassWeights:
     def test_balanced_counts_give_unit_weights(self):
         w = weights_from_counts({0: 1000, 1: 1000})
-        assert w.for_label(0) == 1.0
-        assert w.for_label(1) == 1.0
+        assert w[0] == 1.0
+        assert w[1] == 1.0
 
     def test_two_to_one_skew(self):
         # n = 3000, k = 2: W(minority) = 3000/(2*1000), W(majority) = 3000/(2*2000)
         w = weights_from_counts({1: 1000, 0: 2000})
-        assert w.for_label(1) == 1.5
-        assert w.for_label(0) == 0.75
+        assert w[1] == 1.5
+        assert w[0] == 0.75
 
     def test_single_class_degenerates_to_one(self):
-        assert weights_from_counts({0: 57}).for_label(0) == 1.0
+        assert weights_from_counts({0: 57})[0] == 1.0
 
     def test_weight_sum_identity(self):
         # Sum of per-sample weights equals n for any label multiset.
@@ -178,7 +175,7 @@ class TestClassWeights:
         for _ in range(300):
             counts = {0: int(rng.integers(1, 500)), 1: int(rng.integers(1, 500))}
             w = weights_from_counts(counts)
-            total = sum(w.for_label(c) * m for c, m in counts.items())
+            total = sum(w[c] * m for c, m in counts.items())
             assert abs(total - sum(counts.values())) < 1e-9
 
     def test_no_classes_rejected(self):

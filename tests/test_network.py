@@ -1,6 +1,7 @@
 """Tests for the CNN forward/backward passes against independent oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,25 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emocnn.corpus import DataError
-from emocnn.functions import (
-    ACTIVATION_KINDS,
-    Activation,
-    mlrelu_continuous,
-    sigmoid_activation,
-)
+from emocnn.functions import ACTIVATION_KINDS, Activation, cross_entropy
 from emocnn.network import (
     ModelParams,
     NetworkConfig,
     backward,
-    conv_forward,
     dropout_mask,
     forward,
     init_params,
     load_model,
-    maxpool,
     params_digest,
     predict,
-    sample_loss,
     save_model,
     sgd_step,
 )
@@ -39,7 +32,7 @@ def tiny_config(**overrides):
         embedding_dim=3,
         num_classes=2,
         dropout_rate=0.0,
-        activation=mlrelu_continuous(),
+        activation=Activation("mlrelu-continuous"),
         seed=0,
     )
     base.update(overrides)
@@ -55,7 +48,7 @@ def numeric_gradients(params, sentence, target, weight, h=1e-5, mask_seed=None):
 
     def loss_at(p):
         rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
-        return sample_loss(forward(p, sentence, rng=rng), target, weight)
+        return cross_entropy(forward(p, sentence, rng=rng).probs, target, weight)
 
     numeric = params.zeros_like()
     for (name, block), (_, out) in zip(params.named_blocks(), numeric.named_blocks()):
@@ -120,34 +113,61 @@ class TestInitParams:
                           dropout_rate=1.0)
 
 
+def single_filter_params(filt, bias, activation):
+    """A network with one w x d filter and its bias, dropout off."""
+    w, d = filt.shape
+    config = NetworkConfig(filter_widths=(w,), maps_per_width=1, embedding_dim=d,
+                           dropout_rate=0.0, activation=activation)
+    return ModelParams(config=config, filters={w: filt[None, :, :]},
+                       filter_biases={w: np.array([bias])},
+                       fc_weights=np.zeros((2, 1)), fc_bias=np.zeros(2))
+
+
+def feature_map(filt, bias, sentence, activation):
+    """The activated feature map of one filter, read from a `forward` trace."""
+    params = single_filter_params(filt, bias, activation)
+    return forward(params, sentence).activations[filt.shape[0]][0]
+
+
+def max_pool(values):
+    """(pooled value, argmax) that `forward` takes from the feature map `values`.
+
+    A 1 x 1 unit filter over a one-column sentence makes `values` the
+    pre-activations, and drelu with a = 1e6 is the identity on them.
+    """
+    params = single_filter_params(np.ones((1, 1)), 0.0, Activation("drelu", 1e6))
+    trace = forward(params, np.asarray(values, dtype=np.float64)[:, None])
+    return float(trace.pooled[0]), int(trace.argmax[1][0])
+
+
 class TestConvForward:
     sentence = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_hand_dot_product(self):
         # windows: rows 0-1 sum of products = 10, rows 1-2 = 18
-        fmap = conv_forward(np.ones((2, 2)), 0.0, self.sentence, mlrelu_continuous())
+        fmap = feature_map(np.ones((2, 2)), 0.0, self.sentence, Activation("mlrelu-continuous"))
         np.testing.assert_allclose(fmap, [10.0, 18.0])
 
     def test_sigmoid_of_same_preactivations(self):
-        fmap = conv_forward(np.ones((2, 2)), 0.0, self.sentence, sigmoid_activation())
+        fmap = feature_map(np.ones((2, 2)), 0.0, self.sentence, Activation("sigmoid"))
         expected = [1 / (1 + math.exp(-10)), 1 / (1 + math.exp(-18))]
         np.testing.assert_allclose(fmap, expected, atol=1e-12)
 
     def test_zero_filter_gives_activation_of_zero(self):
-        fmap = conv_forward(np.zeros((2, 2)), 0.0, self.sentence, mlrelu_continuous())
+        fmap = feature_map(np.zeros((2, 2)), 0.0, self.sentence, Activation("mlrelu-continuous"))
         np.testing.assert_array_equal(fmap, [0.0, 0.0])
 
     def test_map_length(self):
         rng = np.random.default_rng(0)
         for length, width in ((5, 2), (7, 3), (4, 4)):
             sentence = rng.normal(size=(length, 3))
-            fmap = conv_forward(rng.normal(size=(width, 3)), 0.1, sentence,
-                                mlrelu_continuous())
+            fmap = feature_map(rng.normal(size=(width, 3)), 0.1, sentence,
+                               Activation("mlrelu-continuous"))
             assert fmap.shape == (length - width + 1,)
 
     def test_sentence_shorter_than_filter_rejected(self):
         with pytest.raises(ValueError):
-            conv_forward(np.ones((4, 2)), 0.0, self.sentence, mlrelu_continuous())
+            feature_map(np.ones((4, 2)), 0.0, self.sentence, Activation("mlrelu-continuous"))
 
 
 def loop_conv(filters, biases, sentence):
@@ -202,25 +222,21 @@ class TestConvAgainstLoop:
 
 class TestMaxpool:
     def test_maximum_and_position(self):
-        assert maxpool(np.array([10.0, 18.0])) == (18.0, 1)
+        assert max_pool(np.array([10.0, 18.0])) == (18.0, 1)
 
     def test_ties_take_smallest_index(self):
-        assert maxpool(np.array([3.0, 3.0])) == (3.0, 0)
+        assert max_pool(np.array([3.0, 3.0])) == (3.0, 0)
 
     def test_against_linear_scan(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             v = rng.normal(size=rng.integers(1, 12))
-            value, idx = maxpool(v)
+            value, idx = max_pool(v)
             best_val, best_idx = v[0], 0
             for i, x in enumerate(v):
                 if x > best_val:
                     best_val, best_idx = x, i
             assert value == best_val and idx == best_idx
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            maxpool(np.array([]))
 
 
 class TestForward:
@@ -337,8 +353,8 @@ class TestBackward:
             assert trace.pre_activations[2][0, trace.argmax[2][0]] == 50.0
             return backward(params, trace, target=1, sample_weight=1.0)
 
-        sig = grads_for(sigmoid_activation())
-        mod = grads_for(mlrelu_continuous())
+        sig = grads_for(Activation("sigmoid"))
+        mod = grads_for(Activation("mlrelu-continuous"))
         assert np.max(np.abs(sig.filters[2])) < 1e-20
         assert np.max(np.abs(mod.filters[2])) > 1e-3
 
@@ -437,3 +453,17 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_model(tmp_path / "missing.json")
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(path, init_params(tiny_config(seed=1)))
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            save_model(path, init_params(tiny_config(seed=2)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]

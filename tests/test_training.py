@@ -9,7 +9,7 @@ import pytest
 from emocnn.corpus import imbalanced_synth_corpus, synth_corpus
 from emocnn.embedding import build_vocab, init_random_embeddings, train_cbow, CbowConfig
 from emocnn.evaluation import strip_timing
-from emocnn.functions import Activation, mlrelu_continuous
+from emocnn.functions import Activation
 from emocnn.network import NetworkConfig, params_digest
 from emocnn.training import (
     ComparisonReport,
@@ -28,7 +28,7 @@ def small_config(dim=8, seed=0, **overrides):
         maps_per_width=4,
         embedding_dim=dim,
         dropout_rate=0.2,
-        activation=mlrelu_continuous(),
+        activation=Activation("mlrelu-continuous"),
         seed=seed,
     )
     base = dict(
@@ -44,6 +44,16 @@ def small_config(dim=8, seed=0, **overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def first_trigger(history, epsilon, patience):
+    """First 1-based t at which each of the last `patience` epochs of
+    history[:t] fails to beat the best before it by more than `epsilon`."""
+    for t in range(patience, len(history) + 1):
+        if all(history[i] <= max(history[:i], default=-np.inf) + epsilon
+               for i in range(t - patience, t)):
+            return t
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +153,9 @@ class TestTrain:
         _, report = train(dataset, embeddings, config)
         best_epoch = int(np.argmax([e.val_acc for e in report.epochs])) + 1
         assert len(report.epochs) <= best_epoch + config.convergence_patience
+        stop = first_trigger([e.val_acc for e in report.epochs],
+                             config.convergence_epsilon, config.convergence_patience)
+        assert len(report.epochs) == (stop or config.max_epochs)
 
 
 class TestRunFoldCv:
