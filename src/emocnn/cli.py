@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .functions import ACTIVATION_KINDS, Activation
 from .network import NetworkConfig, load_model, save_model
-from .training import compare_runs, preset_config, run_fold_cv, train
+from .training import PRESETS, compare_runs, preset_config, run_fold_cv, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +57,11 @@ PRESET_FIELDS = ("activation", "loss_mode", "filter_widths", "maps_per_width")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant that exits 1 (not 2) on usage errors and refuses
+    abbreviated flags (`--conf` would bypass `expand_config_flags`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -149,6 +153,8 @@ def expand_config_flags(argv: list[str]) -> list[str]:
             for part in (token.split("=", 1) if token.startswith("--config=") else (token,))]
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise DataError("--config may be given only once")
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise DataError("--config needs a file path")
@@ -198,8 +204,9 @@ def _parse_synth_spec(text: str) -> dict:
 def _resolve_train_config(args, embedding_dim: int):
     """Materialize the preset, apply explicit flag overrides with a warning."""
     overrides = {}
-    if args.activation is not None:
-        overrides["activation"] = Activation(args.activation, args.a)
+    if args.activation is not None or args.a is not None:
+        kind = args.activation or PRESETS[args.preset]["activation"].kind
+        overrides["activation"] = Activation(kind) if args.a is None else Activation(kind, args.a)
     if args.loss is not None:
         overrides["loss_mode"] = args.loss
     if args.widths is not None:
@@ -504,8 +511,8 @@ def _add_common_train_flags(parser, with_preset=True):
                             help="named configuration to start from")
         parser.add_argument("--activation", default=None, choices=list(ACTIVATION_KINDS),
                             help="override the preset activation")
-        parser.add_argument("--a", type=float, default=0.03,
-                            help="activation inflection/slope parameter")
+        parser.add_argument("--a", type=float, default=None,
+                            help="override the activation inflection/slope parameter")
         parser.add_argument("--loss", default=None, choices=["weighted", "unweighted"],
                             help="override the preset loss mode")
         parser.add_argument("--widths", default=None,

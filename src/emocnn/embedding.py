@@ -229,7 +229,7 @@ def save_embeddings(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) 
         "version": EMBEDDING_SCHEMA_VERSION,
         "dim": table.dim,
         "words": list(vocab.index_to_word),
-        "vectors": [float(v) for v in table.vectors.ravel()],
+        "vectors": table.vectors.ravel().tolist(),
     }
     write_atomic(path, json.dumps(payload))
 
@@ -248,6 +248,8 @@ def load_embeddings(path: str | Path) -> tuple[Vocabulary, EmbeddingTable]:
             raise DataError(
                 f"{src}: expected {len(words) * dim} vector entries, found {len(flat)}"
             )
+        if len(set(words)) != len(words):
+            raise DataError(f"{src}: embedding checkpoint lists a word more than once")
         vectors = np.asarray(flat, dtype=np.float64).reshape(len(words), dim)
         vocab = Vocabulary(
             index_to_word=tuple(words),

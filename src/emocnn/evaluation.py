@@ -330,17 +330,15 @@ def _numeric_gradients(params, sentence, target, weight, h, mask_seed):
         rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
         return cross_entropy(forward(p, sentence, rng=rng).probs, target, weight)
 
+    probe = params.copy()
     numeric = params.zeros_like()
-    for (name, block), (_, out) in zip(params.named_blocks(), numeric.named_blocks()):
-        it = np.nditer(block, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            probe = params.copy()
-            dict(probe.named_blocks())[name][idx] = block[idx] + h
-            plus = loss_at(probe)
-            dict(probe.named_blocks())[name][idx] = block[idx] - h
-            minus = loss_at(probe)
-            out[idx] = (plus - minus) / (2 * h)
+    for i, value in enumerate(params.vector):
+        probe.vector[i] = value + h
+        plus = loss_at(probe)
+        probe.vector[i] = value - h
+        minus = loss_at(probe)
+        probe.vector[i] = value
+        numeric.vector[i] = (plus - minus) / (2 * h)
     return numeric
 
 

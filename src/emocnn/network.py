@@ -11,12 +11,17 @@ produces exact analytic gradients of the weighted cross-entropy: the
 pooled gradient flows only through each map's argmax position and through
 the dropout mask. All functions are pure; `sgd_step` returns fresh
 parameters.
+
+`ModelParams` holds every parameter in one flat float64 vector and each
+block is a view into it, so copy, gradient accumulation, the SGD step and
+the checkpoint are each one expression on that vector.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .corpus import DataError, json_artifact, write_atomic
 from .functions import Activation, activation_apply, activation_grad, softmax
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 LOSS_CONVENTION = "sum-over-batch"
 
 
@@ -63,52 +68,57 @@ class NetworkConfig:
         return max(self.filter_widths)
 
 
+def _block_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter block, in storage order."""
+    shapes = []
+    for w in config.filter_widths:
+        shapes.append((f"filters_w{w}", (config.maps_per_width, w, config.embedding_dim)))
+        shapes.append((f"filter_bias_w{w}", (config.maps_per_width,)))
+    shapes.append(("fc_weights", (config.num_classes, config.total_maps)))
+    shapes.append(("fc_bias", (config.num_classes,)))
+    return shapes
+
+
 @dataclass
 class ModelParams:
-    """Filter banks plus the fully connected output layer.
+    """Filter banks plus the fully connected output layer, in one vector.
 
-    Also used as the container for gradients, which share its shapes.
+    `vector` (1-D float64) holds every parameter. `filters[w]` (maps, width,
+    dim) and `filter_biases[w]` (maps,) per width, then `fc_weights`
+    (classes, total maps) and `fc_bias` (classes,) are views into it, in
+    `named_blocks` order. Write into a block, never rebind one: a rebound
+    block comes loose from `vector`. Also the container for gradients.
     """
 
     config: NetworkConfig
-    filters: dict[int, np.ndarray]        # width -> (maps, width, dim)
-    filter_biases: dict[int, np.ndarray]  # width -> (maps,)
-    fc_weights: np.ndarray                # (classes, total maps)
-    fc_bias: np.ndarray                   # (classes,)
+    vector: np.ndarray
+
+    def __post_init__(self):
+        shapes = _block_shapes(self.config)
+        sizes = [math.prod(shape) for _, shape in shapes]
+        if self.vector.shape != (sum(sizes),):
+            raise ValueError(f"parameter vector must have {sum(sizes)} entries, "
+                             f"got shape {self.vector.shape}")
+        parts = np.split(self.vector, np.cumsum(sizes)[:-1])
+        self._blocks = {name: part.reshape(shape) for (name, shape), part in zip(shapes, parts)}
+        self.filters = {w: self._blocks[f"filters_w{w}"] for w in self.config.filter_widths}
+        self.filter_biases = {w: self._blocks[f"filter_bias_w{w}"] for w in self.config.filter_widths}
+        self.fc_weights = self._blocks["fc_weights"]
+        self.fc_bias = self._blocks["fc_bias"]
 
     def named_blocks(self):
-        """(name, array) pairs in a fixed order."""
-        for w in self.config.filter_widths:
-            yield f"filters_w{w}", self.filters[w]
-            yield f"filter_bias_w{w}", self.filter_biases[w]
-        yield "fc_weights", self.fc_weights
-        yield "fc_bias", self.fc_bias
+        """(name, array) pairs in storage order."""
+        return self._blocks.items()
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            filters={w: a.copy() for w, a in self.filters.items()},
-            filter_biases={w: a.copy() for w, a in self.filter_biases.items()},
-            fc_weights=self.fc_weights.copy(),
-            fc_bias=self.fc_bias.copy(),
-        )
+        return ModelParams(self.config, self.vector.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            filters={w: np.zeros_like(a) for w, a in self.filters.items()},
-            filter_biases={w: np.zeros_like(a) for w, a in self.filter_biases.items()},
-            fc_weights=np.zeros_like(self.fc_weights),
-            fc_bias=np.zeros_like(self.fc_bias),
-        )
+        return ModelParams(self.config, np.zeros_like(self.vector))
 
     def add_scaled(self, other: "ModelParams", scale: float = 1.0) -> None:
         """In-place accumulate `scale * other` (gradient accumulation)."""
-        for w in self.config.filter_widths:
-            self.filters[w] += scale * other.filters[w]
-            self.filter_biases[w] += scale * other.filter_biases[w]
-        self.fc_weights += scale * other.fc_weights
-        self.fc_bias += scale * other.fc_bias
+        self.vector += scale * other.vector
 
 
 @dataclass
@@ -127,24 +137,13 @@ class ForwardTrace:
 def init_params(config: NetworkConfig) -> ModelParams:
     """Uniform fan-based init for all weights, zero biases, seeded."""
     rng = np.random.default_rng(config.seed)
-    d = config.embedding_dim
-    filters = {}
-    filter_biases = {}
-    for w in config.filter_widths:
-        bound = np.sqrt(6.0 / (w * d + 1))
-        filters[w] = rng.uniform(-bound, bound, size=(config.maps_per_width, w, d))
-        filter_biases[w] = np.zeros(config.maps_per_width)
-    m = config.total_maps
-    bound = np.sqrt(6.0 / (m + config.num_classes))
-    fc_weights = rng.uniform(-bound, bound, size=(config.num_classes, m))
-    fc_bias = np.zeros(config.num_classes)
-    return ModelParams(
-        config=config,
-        filters=filters,
-        filter_biases=filter_biases,
-        fc_weights=fc_weights,
-        fc_bias=fc_bias,
-    )
+    params = ModelParams(config, np.zeros(sum(math.prod(s) for _, s in _block_shapes(config))))
+    for w, filters in params.filters.items():
+        bound = np.sqrt(6.0 / (w * config.embedding_dim + 1))
+        filters[...] = rng.uniform(-bound, bound, size=filters.shape)
+    bound = np.sqrt(6.0 / (config.total_maps + config.num_classes))
+    params.fc_weights[...] = rng.uniform(-bound, bound, size=params.fc_weights.shape)
+    return params
 
 
 def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.ndarray) -> np.ndarray:
@@ -247,8 +246,8 @@ def backward(
     dlogits *= sample_weight
 
     grads = params.zeros_like()
-    grads.fc_weights = np.outer(dlogits, trace.dropped)
-    grads.fc_bias = dlogits
+    grads.fc_weights[...] = np.outer(dlogits, trace.dropped)
+    grads.fc_bias[...] = dlogits
 
     ddropped = params.fc_weights.T @ dlogits
     dpooled = ddropped if trace.dropout_mask is None else ddropped * trace.dropout_mask
@@ -263,19 +262,17 @@ def backward(
         pre_at_best = trace.pre_activations[w][np.arange(m), best]
         dx = seg * activation_grad(act, pre_at_best)
         windows = sliding_window_view(trace.sentence, (w, trace.sentence.shape[1]))[:, 0]
-        grads.filters[w] = dx[:, None, None] * windows[best]
-        grads.filter_biases[w] = dx
+        grads.filters[w][...] = dx[:, None, None] * windows[best]
+        grads.filter_biases[w][...] = dx
     return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
     """One plain gradient descent update; returns new parameters."""
-    updated = params.copy()
-    for (name, block), (_, grad) in zip(updated.named_blocks(), grads.named_blocks()):
+    for name, grad in grads.named_blocks():
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient in parameter block {name!r}")
-        block -= learning_rate * grad
-    return updated
+    return ModelParams(params.config, params.vector - learning_rate * grads.vector)
 
 
 def predict(params: ModelParams, sentence: np.ndarray) -> tuple[int, np.ndarray]:
@@ -324,23 +321,10 @@ def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -
     `embedding_ref` is the `embedding.embedding_digest` of the table the
     model was trained with; empty when unknown.
     """
-    config = params.config
-    filters = []
-    for w in config.filter_widths:
-        for j in range(config.maps_per_width):
-            filters.append(
-                {
-                    "width": w,
-                    "weights": [float(v) for v in params.filters[w][j].ravel()],
-                    "bias": float(params.filter_biases[w][j]),
-                }
-            )
     payload = {
         "version": MODEL_SCHEMA_VERSION,
-        "config": config_to_dict(config),
-        "filters": filters,
-        "fc_weights": [float(v) for v in params.fc_weights.ravel()],
-        "fc_bias": [float(v) for v in params.fc_bias.ravel()],
+        "config": config_to_dict(params.config),
+        "params": params.vector.tolist(),
         "embedding_ref": embedding_ref,
         "loss_convention": LOSS_CONVENTION,
     }
@@ -364,38 +348,7 @@ def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParam
                 f"but the given table has digest {embedding_ref!r}"
             )
         config = config_from_dict(payload["config"])
-        d = config.embedding_dim
-        entries = payload["filters"]
-        if len(entries) != config.total_maps:
-            raise DataError(
-                f"{src}: expected {config.total_maps} filters, found {len(entries)}"
-            )
-        filters = {w: np.empty((config.maps_per_width, w, d)) for w in config.filter_widths}
-        biases = {w: np.empty(config.maps_per_width) for w in config.filter_widths}
-        counters = {w: 0 for w in config.filter_widths}
-        for entry in entries:
-            w = int(entry["width"])
-            if w not in filters:
-                raise DataError(f"{src}: filter width {w} not in config")
-            j = counters[w]
-            if j >= config.maps_per_width:
-                raise DataError(f"{src}: too many filters of width {w}")
-            weights = np.asarray(entry["weights"], dtype=np.float64)
-            if weights.size != w * d:
-                raise DataError(f"{src}: filter of width {w} has {weights.size} weights, expected {w * d}")
-            filters[w][j] = weights.reshape(w, d)
-            biases[w][j] = float(entry["bias"])
-            counters[w] += 1
-        fc_weights = np.asarray(payload["fc_weights"], dtype=np.float64)
-        if fc_weights.size != config.num_classes * config.total_maps:
-            raise DataError(f"{src}: fully connected weight shape mismatch")
-        fc_bias = np.asarray(payload["fc_bias"], dtype=np.float64)
-        if fc_bias.size != config.num_classes:
-            raise DataError(f"{src}: fully connected bias shape mismatch")
-    return ModelParams(
-        config=config,
-        filters=filters,
-        filter_biases=biases,
-        fc_weights=fc_weights.reshape(config.num_classes, config.total_maps),
-        fc_bias=fc_bias,
-    )
+        try:
+            return ModelParams(config, np.asarray(payload["params"], dtype=np.float64))
+        except ValueError as exc:
+            raise DataError(f"{src}: {exc}") from exc

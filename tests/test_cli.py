@@ -157,6 +157,16 @@ class TestTrain:
         model = load_model(out / "model.json")
         assert model.config.activation.kind == "sigmoid"
 
+    def test_a_alone_overrides_the_preset_parameter(self, tmp_path, prepared, embedded, capsys):
+        out = tmp_path / "model_a"
+        code = main(["train", "--data", str(prepared), "--embeddings", str(embedded),
+                     "--preset", "elreluwl", "--a", "0.1", *FAST_TRAIN, "--out", str(out)])
+        assert code == 0
+        assert "field activation" in capsys.readouterr().err
+        model = load_model(out / "model.json")
+        assert model.config.activation.kind == "mlrelu-continuous"
+        assert model.config.activation.a == 0.1
+
     def test_loaded_model_matches_config(self, trained):
         model = load_model(trained / "model.json")
         assert model.config.filter_widths == (2, 3)

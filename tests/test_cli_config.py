@@ -53,3 +53,28 @@ def test_config_drives_a_real_run(tmp_path):
                      *flag, "--out", str(out)]) == 0
         payload = json.loads((out / "embeddings.json").read_text())
         assert payload["dim"] == 4
+
+
+def test_abbreviated_config_flag_is_a_usage_error(tmp_path):
+    data_dir = tmp_path / "data"
+    assert main(["prepare", "--format", "synth", "--spec", "n=6,vocab=8,len=4,seed=1",
+                 "--out", str(data_dir)]) == 0
+    cfg = tmp_path / "r.txt"
+    cfg.write_text("dim=8\nrandom=true\n")
+    for flag in (["--conf", str(cfg)], [f"--confi={cfg}"]):
+        out = tmp_path / "emb"
+        code = main(["embed", "--data", str(data_dir / "dataset.json"), *flag,
+                     "--out", str(out)])
+        assert code == 1
+        assert not (out / "embeddings.json").exists()
+
+
+def test_repeated_config_flag_is_data_error(tmp_path):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("dim=4\n")
+    second.write_text("dim=8\n")
+    for flags in (["--config", str(first), "--config", str(second)],
+                  ["--config", str(first), f"--config={second}"]):
+        with pytest.raises(DataError, match="only once"):
+            expand_config_flags(["embed", *flags])
+        assert main(["embed", "--data", "x", *flags]) == 2

@@ -188,6 +188,16 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataError, match="entries"):
             load_embeddings(path)
 
+    def test_duplicate_words_rejected(self, tmp_path):
+        # A repeated word would leave one of its rows unreachable.
+        path = tmp_path / "embeddings.json"
+        path.write_text(
+            '{"version": 1, "dim": 1, "words": ["<unk>", "a", "a"], "vectors": [0.0, 1.0, 2.0]}',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match="embeddings.json.*more than once"):
+            load_embeddings(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "embeddings.json"
         path.write_text('{"version": 99}', encoding="utf-8")

@@ -1,5 +1,6 @@
 """Tests for the CNN forward/backward passes against independent oracles."""
 
+import json
 import math
 import os
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emocnn.cli import main
 from emocnn.corpus import DataError
 from emocnn.functions import ACTIVATION_KINDS, Activation, cross_entropy
 from emocnn.network import (
     ModelParams,
     NetworkConfig,
     backward,
+    config_to_dict,
     dropout_mask,
     forward,
     init_params,
@@ -118,9 +121,8 @@ def single_filter_params(filt, bias, activation):
     w, d = filt.shape
     config = NetworkConfig(filter_widths=(w,), maps_per_width=1, embedding_dim=d,
                            dropout_rate=0.0, activation=activation)
-    return ModelParams(config=config, filters={w: filt[None, :, :]},
-                       filter_biases={w: np.array([bias])},
-                       fc_weights=np.zeros((2, 1)), fc_bias=np.zeros(2))
+    # Storage order: filter, its bias, fc weights (2 x 1), fc bias (2).
+    return ModelParams(config, np.concatenate([filt.ravel(), [bias], np.zeros(4)]))
 
 
 def feature_map(filt, bias, sentence, activation):
@@ -208,7 +210,7 @@ class TestConvAgainstLoop:
                              embedding_dim=dim, seed=seed)
         params = init_params(config)
         for w in config.filter_widths:
-            params.filter_biases[w] = rng.normal(size=maps)
+            params.filter_biases[w][:] = rng.normal(size=maps)
         # extra_rows == 0 puts the widest filter at L == w: one position.
         sentence = rng.normal(size=(config.max_width + extra_rows, dim))
         trace = forward(params, sentence)
@@ -342,13 +344,11 @@ class TestBackward:
                 filter_widths=(2,), maps_per_width=1, embedding_dim=2,
                 dropout_rate=0.0, activation=activation, seed=0,
             )
-            params = ModelParams(
-                config=config,
-                filters={2: np.array([[[50.0, 0.0], [0.0, 0.0]]])},
-                filter_biases={2: np.zeros(1)},
-                fc_weights=np.array([[1.0], [-1.0]]),
-                fc_bias=np.zeros(2),
-            )
+            params = init_params(config)
+            params.filters[2][...] = [[[50.0, 0.0], [0.0, 0.0]]]
+            params.filter_biases[2][...] = 0.0
+            params.fc_weights[...] = [[1.0], [-1.0]]
+            params.fc_bias[...] = 0.0
             trace = forward(params, sentence)
             assert trace.pre_activations[2][0, trace.argmax[2][0]] == 50.0
             return backward(params, trace, target=1, sample_weight=1.0)
@@ -417,6 +417,40 @@ class TestPredict:
         )
 
 
+class TestLayout:
+    def test_blocks_are_views_that_tile_the_vector_in_order(self):
+        params = init_params(tiny_config(filter_widths=(2, 3), seed=4))
+        names = [name for name, _ in params.named_blocks()]
+        assert names == ["filters_w2", "filter_bias_w2", "filters_w3", "filter_bias_w3",
+                         "fc_weights", "fc_bias"]
+        offset = 0
+        for name, block in params.named_blocks():
+            piece = params.vector[offset : offset + block.size]
+            assert np.shares_memory(block, params.vector), name
+            assert block.ctypes.data == piece.ctypes.data, name
+            np.testing.assert_array_equal(block.ravel(), piece)
+            offset += block.size
+        assert offset == params.vector.size
+
+    def test_wrong_size_vector_names_the_expected_count(self):
+        config = tiny_config()  # 2x2x3 filters + 2 biases + 2x2 fc + 2 fc bias
+        with pytest.raises(ValueError, match="20 entries"):
+            ModelParams(config, np.zeros(21))
+
+    def test_editing_a_copy_leaves_the_original(self):
+        params = init_params(tiny_config(seed=3))
+        original = params.vector.copy()
+        sentence = np.random.default_rng(6).normal(size=(5, 3))
+        before = forward(params, sentence)
+        probe = params.copy()
+        probe.filters[2][0, 0, 0] += 1.0
+        assert not np.array_equal(forward(probe, sentence).pre_activations[2],
+                                  before.pre_activations[2])
+        assert not np.array_equal(forward(probe, sentence).probs, before.probs)
+        np.testing.assert_array_equal(forward(params, sentence).probs, before.probs)
+        np.testing.assert_array_equal(params.vector, original)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(tiny_config(filter_widths=(2, 3), seed=8))
@@ -442,13 +476,36 @@ class TestCheckpoint:
         params = init_params(tiny_config())
         path = tmp_path / "model.json"
         save_model(path, params)
-        import json
-
         payload = json.loads(path.read_text())
-        payload["fc_weights"] = payload["fc_weights"][:-1]
+        payload["params"] = payload["params"][:-1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="fully connected"):
+        with pytest.raises(DataError, match=f"model.json: .*{params.vector.size} entries"):
             load_model(path)
+
+    def test_eval_refuses_a_version_1_checkpoint(self, tmp_path, capsys):
+        # Version 1 stored one dict per filter; it must be retrained, not read.
+        data, emb = tmp_path / "data", tmp_path / "emb"
+        assert main(["prepare", "--format", "synth", "--spec", "n=8,vocab=10,len=6,seed=1",
+                     "--out", str(data)]) == 0
+        assert main(["embed", "--data", str(data / "dataset.json"), "--dim", "3",
+                     "--random", "--out", str(emb)]) == 0
+        params = init_params(tiny_config())
+        v1 = {
+            "version": 1,
+            "config": config_to_dict(params.config),
+            "filters": [{"width": 2, "weights": f.ravel().tolist(), "bias": float(b)}
+                        for f, b in zip(params.filters[2], params.filter_biases[2])],
+            "fc_weights": params.fc_weights.ravel().tolist(),
+            "fc_bias": params.fc_bias.tolist(),
+            "embedding_ref": "",
+            "loss_convention": "sum-over-batch",
+        }
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(v1))
+        code = main(["eval", "--model", str(model), "--data", str(data / "dataset.json"),
+                     "--embeddings", str(emb / "embeddings.json"), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "unsupported model checkpoint version" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
