@@ -15,6 +15,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,13 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index_to_word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_index
-
     def index(self, word: str) -> int:
         """Dense index of `word`, or 0 (the unknown-word slot) if absent."""
         return self.word_to_index.get(word, 0)
 
     def indices(self, tokens) -> np.ndarray:
-        return np.array([self.index(t) for t in tokens], dtype=np.int64)
+        """Dense index of each of `tokens` (a sized sequence), 0 if absent."""
+        return np.fromiter(map(self.word_to_index.get, tokens, repeat(0)), np.int64, count=len(tokens))
 
 
 @dataclass
@@ -202,9 +201,14 @@ def embed_lookup(
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot embed an empty token list")
-    matrix = table.vectors[vocab.indices(tokens)]
-    if len(tokens) < min_rows:
-        pad = np.zeros((min_rows - len(tokens), table.dim))
+    return _sentence_rows(table, vocab.indices(tokens), min_rows)
+
+
+def _sentence_rows(table: EmbeddingTable, indices: np.ndarray, min_rows: int) -> np.ndarray:
+    """The rows of `indices`, zero-padded to `min_rows` (see `embed_lookup`)."""
+    matrix = table.vectors[indices]
+    if len(indices) < min_rows:
+        pad = np.zeros((min_rows - len(indices), table.dim))
         matrix = np.vstack([matrix, pad])
     return matrix
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import LabeledDataset, write_atomic
 from .embedding import EmbeddingTable, Vocabulary, embed_lookup
-from .functions import cross_entropy
+from .functions import activation_apply, cross_entropy
 from .network import (
     ModelParams,
     NetworkConfig,
@@ -121,14 +121,7 @@ class TimingStats:
     warmup: int
 
     def to_dict(self) -> dict:
-        return {
-            "median_ms": self.median_ms,
-            "mean_ms": self.mean_ms,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-            "n_measurements": self.n_measurements,
-            "warmup": self.warmup,
-        }
+        return asdict(self)
 
     def report_rows(self) -> tuple[list[dict], list[dict], list[str]]:
         """(metric rows, summary rows, markdown lines) for `emit_report`."""
@@ -351,7 +344,7 @@ def _fixture_is_smooth(trace, activation, margin=1e-4):
     for w, pre in trace.pre_activations.items():
         if boundary is not None and np.any(np.abs(pre - boundary) < margin):
             return False
-        fmap = trace.activations[w]
+        fmap = activation_apply(activation, pre)
         if fmap.shape[1] >= 2:
             top2 = np.sort(fmap, axis=1)[:, -2:]
             if np.any(top2[:, 1] - top2[:, 0] < margin):

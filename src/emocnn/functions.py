@@ -58,7 +58,7 @@ class Activation:
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} contains non-finite values")
 
 
@@ -87,7 +87,7 @@ def activation_apply(act: Activation, x):
         out = np.where(arr > -a, arr, -a * arr)
     else:  # mlrelu-continuous
         out = np.where(arr > -a, arr, a * (arr + a) - a)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def activation_grad(act: Activation, x):
@@ -110,7 +110,7 @@ def activation_grad(act: Activation, x):
         out = np.where(arr >= -a, 1.0, -a)
     else:  # mlrelu-continuous
         out = np.where(arr >= -a, 1.0, a)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def softmax(logits) -> np.ndarray:

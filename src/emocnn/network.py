@@ -1,20 +1,24 @@
 """Sentence-matrix CNN: convolution, max-over-time pooling, dropout, softmax.
 
 The forward pass slides each w x d filter over the L x d sentence matrix,
-applies the configured activation to every pre-activation, pools the
-maximum of each feature map, optionally applies inverted dropout to the
-pooled vector, and maps it through a single affine layer to class
-probabilities. The convolution of a filter bank is a sum of w shifted
-matrix products, one BLAS call per filter row on a row slice of the
-sentence, with no im2col copy (see `_conv_pre_activations`). `backward`
-produces exact analytic gradients of the weighted cross-entropy: the
-pooled gradient flows only through each map's argmax position and through
-the dropout mask. All functions are pure; `sgd_step` returns fresh
-parameters.
+pools the maximum of each activated feature map, optionally applies
+inverted dropout to the pooled vector, and maps it through a single
+affine layer to class probabilities. A filter bank's convolution is w
+shifted BLAS matrix products on row slices of the sentence, with no im2col
+copy (`_conv_pre_activations`). In banks large enough to pay, pooling
+comes before the activation where that is exact: `lrelu`, `drelu` and
+`mlrelu-continuous` are the identity right of `Activation.boundary` and
+stay at or below it on the left, so a map whose top pre-activation lies
+strictly right of the boundary pools that value at its first index, and
+only the other maps are activated. `sigmoid` (whose saturated values tie)
+and the non-monotone `mlrelu-literal` activate every map. `backward`
+gives exact analytic gradients of the weighted cross-entropy through each
+map's argmax position and the dropout mask, added in place into a batch
+gradient; `sgd_step` returns fresh parameters.
 
 `ModelParams` holds every parameter in one flat float64 vector and each
-block is a view into it, so copy, gradient accumulation, the SGD step and
-the checkpoint are each one expression on that vector.
+block is a view into it, so copy, the SGD step and the checkpoint are each
+one expression on that vector.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import DataError, json_artifact, write_atomic
 from .functions import Activation, activation_apply, activation_grad, softmax
@@ -116,21 +119,15 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return ModelParams(self.config, np.zeros_like(self.vector))
 
-    def add_scaled(self, other: "ModelParams", scale: float = 1.0) -> None:
-        """In-place accumulate `scale * other` (gradient accumulation)."""
-        self.vector += scale * other.vector
-
 
 @dataclass
 class ForwardTrace:
     sentence: np.ndarray
     pre_activations: dict[int, np.ndarray]  # width -> (maps, positions)
-    activations: dict[int, np.ndarray]
     argmax: dict[int, np.ndarray]           # width -> (maps,)
     pooled: np.ndarray                      # (total maps,)
     dropout_mask: np.ndarray | None         # scaled keep mask, None in eval mode
     dropped: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -168,6 +165,29 @@ def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.
     return pre
 
 
+# Smaller banks are activated whole: there the extra numpy calls of pooling
+# first cost more than they save (crossover 4k-8k entries on one core).
+_POOL_FIRST_MIN_ENTRIES = 4096
+
+
+def _max_pool(act: Activation, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first argmax, maximum) of each activated map, pooling first where exact."""
+    if act.kind not in ("lrelu", "drelu", "mlrelu-continuous") or pre.size < _POOL_FIRST_MIN_ENTRIES:
+        fmap = activation_apply(act, pre)  # raises on non-finite entries
+        best = fmap.argmax(axis=1)
+        return best, fmap[np.arange(best.size), best]
+    if not np.isfinite(pre).all():
+        raise ValueError("pre-activations contain non-finite values")
+    best = pre.argmax(axis=1)
+    top = pre[np.arange(best.size), best]
+    left = np.flatnonzero(top <= act.boundary)
+    if left.size:
+        fmap = activation_apply(act, pre[left])
+        best[left] = left_best = fmap.argmax(axis=1)
+        top[left] = fmap[np.arange(left.size), left_best]
+    return best, top
+
+
 def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     """Inverted dropout mask: entries are 0 or 1/(1-p), E[mask] = 1."""
     keep = rng.random(size) >= p
@@ -181,49 +201,41 @@ def forward(
 ) -> ForwardTrace:
     """Run the network on one sentence matrix.
 
-    Passing `rng` selects training mode: the pooled vector gets an inverted
-    dropout mask (keep probability 1 - p, kept units scaled by 1/(1 - p)).
-    Without `rng` the pass is evaluation mode, no mask and no scaling.
+    Each map pools its activated maximum at the first position holding it
+    (`_max_pool`); a non-finite pre-activation raises `ValueError`. Passing
+    `rng` selects training mode: the pooled vector gets an inverted dropout
+    mask (keep probability 1 - p, kept units scaled by 1/(1 - p)). Without
+    `rng` the pass is evaluation mode, no mask and no scaling.
     """
     config = params.config
     if sentence.ndim != 2 or sentence.shape[1] != config.embedding_dim:
         raise ValueError(
             f"sentence must be L x {config.embedding_dim}, got {sentence.shape}"
         )
-    act = config.activation
     pre_acts: dict[int, np.ndarray] = {}
-    acts: dict[int, np.ndarray] = {}
     argmax: dict[int, np.ndarray] = {}
     pooled_parts = []
     for w in config.filter_widths:
         pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
-        fmap = activation_apply(act, pre)
-        best = fmap.argmax(axis=1)
+        argmax[w], top = _max_pool(config.activation, pre)
         pre_acts[w] = pre
-        acts[w] = fmap
-        argmax[w] = best
-        pooled_parts.append(fmap[np.arange(fmap.shape[0]), best])
+        pooled_parts.append(top)
     pooled = np.concatenate(pooled_parts)
 
-    p = config.dropout_rate
-    if rng is not None and p > 0.0:
-        mask = dropout_mask(rng, pooled.shape[0], p)
-        dropped = pooled * mask
-    else:
-        mask = None
-        dropped = pooled
+    mask = None
+    if rng is not None and config.dropout_rate > 0.0:
+        mask = dropout_mask(rng, pooled.shape[0], config.dropout_rate)
+    dropped = pooled if mask is None else pooled * mask
 
     logits = params.fc_weights @ dropped + params.fc_bias
     probs = softmax(logits)
     return ForwardTrace(
         sentence=sentence,
         pre_activations=pre_acts,
-        activations=acts,
         argmax=argmax,
         pooled=pooled,
         dropout_mask=mask,
         dropped=dropped,
-        logits=logits,
         probs=probs,
     )
 
@@ -233,44 +245,44 @@ def backward(
     trace: ForwardTrace,
     target: int,
     sample_weight: float = 1.0,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Analytic gradients of the weighted cross-entropy for one sample.
 
     The pooled gradient is routed only through each map's argmax position
     (max pooling) and through the dropout mask recorded in the trace.
-    Gradients scale linearly in `sample_weight`.
+    Gradients scale linearly in `sample_weight`. They are added in place
+    into the blocks of `out`, which is returned, or else into fresh zeros.
     """
     config = params.config
     dlogits = trace.probs.copy()
     dlogits[target] -= 1.0
     dlogits *= sample_weight
 
-    grads = params.zeros_like()
-    grads.fc_weights[...] = np.outer(dlogits, trace.dropped)
-    grads.fc_bias[...] = dlogits
+    grads = params.zeros_like() if out is None else out
+    grads.fc_weights += np.outer(dlogits, trace.dropped)
+    grads.fc_bias += dlogits
 
     ddropped = params.fc_weights.T @ dlogits
     dpooled = ddropped if trace.dropout_mask is None else ddropped * trace.dropout_mask
 
-    offset = 0
-    act = config.activation
-    for w in config.filter_widths:
-        m = config.maps_per_width
-        seg = dpooled[offset : offset + m]
-        offset += m
+    m = config.maps_per_width
+    for i, w in enumerate(config.filter_widths):
         best = trace.argmax[w]
         pre_at_best = trace.pre_activations[w][np.arange(m), best]
-        dx = seg * activation_grad(act, pre_at_best)
-        windows = sliding_window_view(trace.sentence, (w, trace.sentence.shape[1]))[:, 0]
-        grads.filters[w][...] = dx[:, None, None] * windows[best]
-        grads.filter_biases[w][...] = dx
+        dx = dpooled[i * m : (i + 1) * m] * activation_grad(config.activation, pre_at_best)
+        # Each map's argmax window (maps, w, dim), a fresh copy: overwrite it.
+        windows = trace.sentence[best[:, None] + np.arange(w)]
+        np.multiply(dx[:, None, None], windows, out=windows)
+        grads.filters[w] += windows
+        grads.filter_biases[w] += dx
     return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
     """One plain gradient descent update; returns new parameters."""
     for name, grad in grads.named_blocks():
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise ValueError(f"non-finite gradient in parameter block {name!r}")
     return ModelParams(params.config, params.vector - learning_rate * grads.vector)
 

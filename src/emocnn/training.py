@@ -17,12 +17,12 @@ in a report is bit-reproducible for fixed seeds on one machine.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .corpus import LabeledDataset
-from .embedding import EmbeddingTable, Vocabulary, embed_lookup
+from .embedding import EmbeddingTable, Vocabulary, _sentence_rows
 from .evaluation import EvalResult, _fmt, evaluate
 from .functions import Activation, cross_entropy, weights_from_counts
 from .network import (
@@ -73,13 +73,7 @@ class EpochStats:
     ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "val_acc": self.val_acc,
-            "ms": self.ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -119,16 +113,8 @@ class TrainReport:
     def metric_rows(self):
         """One metrics.csv row per epoch."""
         for stats in self.epochs:
-            yield {
-                "run_id": self.run_id,
-                "preset": self.preset,
-                "dataset": self.dataset_name,
-                "epoch": stats.epoch,
-                "train_loss": stats.train_loss,
-                "train_acc": stats.train_acc,
-                "val_acc": stats.val_acc,
-                "ms": stats.ms,
-            }
+            yield {"run_id": self.run_id, "preset": self.preset, "dataset": self.dataset_name,
+                   **stats.to_dict()}
 
     def summary_row(self, result: EvalResult | None = None) -> dict:
         """The summary.csv row of this run, scored on `result` when given."""
@@ -350,7 +336,8 @@ def train(
     class weights (weighted mode) come from the remaining training split
     only. Each epoch runs a seeded shuffle and summed-gradient batches,
     then scores the validation split in evaluation mode. Training stops at
-    `max_epochs` or once the convergence rule triggers.
+    `max_epochs` or once the convergence rule triggers. Documents are
+    indexed once per call; a batch adds its gradients into one vector.
     """
     if dataset.k < 2:
         raise ValueError("training needs at least two classes in the dataset")
@@ -364,6 +351,8 @@ def train(
     train_idx, val_idx = _stratified_split(dataset, config.validation_fraction, rng)
     train_docs = [dataset.documents[i] for i in train_idx]
     val_docs = [dataset.documents[i] for i in val_idx]
+    train_ids = [vocab.indices(doc.tokens) for doc in train_docs]
+    val_ids = [vocab.indices(doc.tokens) for doc in val_docs]
 
     if config.loss_mode == "weighted":
         weights = weights_from_counts(LabeledDataset.from_documents(train_docs).class_counts)
@@ -386,8 +375,7 @@ def train(
             batch_grads = params.zeros_like()
             for i in batch:
                 doc = train_docs[i]
-                sentence = embed_lookup(vocab, table, doc.tokens, min_rows=max_width)
-                trace = forward(params, sentence, rng=rng)
+                trace = forward(params, _sentence_rows(table, train_ids[i], max_width), rng=rng)
                 weight = weights[doc.label]
                 loss = cross_entropy(trace.probs, doc.label, weight)
                 if not np.isfinite(loss):
@@ -397,12 +385,12 @@ def train(
                     )
                 epoch_loss += loss
                 correct += int(np.argmax(trace.probs)) == doc.label
-                batch_grads.add_scaled(backward(params, trace, doc.label, weight))
+                backward(params, trace, doc.label, weight, out=batch_grads)
             params = sgd_step(params, batch_grads, config.learning_rate)
 
         val_correct = 0
-        for doc in val_docs:
-            trace = forward(params, embed_lookup(vocab, table, doc.tokens, min_rows=max_width))
+        for doc, ids in zip(val_docs, val_ids):
+            trace = forward(params, _sentence_rows(table, ids, max_width))
             val_correct += int(np.argmax(trace.probs)) == doc.label
         val_acc = val_correct / len(val_docs)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

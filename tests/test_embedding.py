@@ -53,6 +53,20 @@ class TestBuildVocab:
         with pytest.raises(ValueError):
             build_vocab(dataset_from_texts(["a b c"]), min_count=5)
 
+    def test_indices_match_one_lookup_per_token(self):
+        # The quickstart corpus; words below min_count and words never seen
+        # map to the unknown slot 0.
+        dataset = synth_corpus(n_per_class=200, vocab_size=50, doc_len=30,
+                               signal_strength=1.0, seed=7)
+        vocab = build_vocab(dataset, min_count=300)
+        tokens = [t for doc in dataset.documents for t in doc.tokens] + ["zebra", "<unk>"]
+        got = vocab.indices(tokens)
+        want = np.array([vocab.index(t) for t in tokens], dtype=np.int64)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert 0 < np.count_nonzero(got == 0) < len(tokens)
+        assert vocab.indices(()).shape == (0,)
+
 
 class TestRandomEmbeddings:
     def test_range_and_shape(self):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emocnn import network
 from emocnn.cli import main
 from emocnn.corpus import DataError
-from emocnn.functions import ACTIVATION_KINDS, Activation, cross_entropy
+from emocnn.functions import ACTIVATION_KINDS, Activation, activation_apply, cross_entropy
 from emocnn.network import (
     ModelParams,
     NetworkConfig,
@@ -81,7 +82,7 @@ def fixture_is_smooth(trace, activation, margin=1e-4):
     for w, pre in trace.pre_activations.items():
         if boundary is not None and np.any(np.abs(pre - boundary) < margin):
             return False
-        fmap = trace.activations[w]
+        fmap = activation_apply(activation, pre)
         if fmap.shape[1] >= 2:
             top2 = np.sort(fmap, axis=1)[:, -2:]
             if np.any(top2[:, 1] - top2[:, 0] < margin):
@@ -126,9 +127,16 @@ def single_filter_params(filt, bias, activation):
 
 
 def feature_map(filt, bias, sentence, activation):
-    """The activated feature map of one filter, read from a `forward` trace."""
+    """The activated feature map of one filter, from a `forward` trace.
+
+    The map is the activation of the traced pre-activations; the pooled
+    value `forward` reports must be its maximum.
+    """
     params = single_filter_params(filt, bias, activation)
-    return forward(params, sentence).activations[filt.shape[0]][0]
+    trace = forward(params, sentence)
+    fmap = activation_apply(activation, trace.pre_activations[filt.shape[0]])[0]
+    assert trace.pooled[0] == fmap.max()
+    return fmap
 
 
 def max_pool(values):
@@ -268,6 +276,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    @pytest.mark.parametrize("min_entries", [0, network._POOL_FIRST_MIN_ENTRIES])
+    def test_nonfinite_pre_activation_rejected(self, monkeypatch, min_entries, kind, bad):
+        # The finite entry 1.0 tops the map, so pooling alone would not see `bad`;
+        # min_entries 0 pools first even this small map.
+        monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
+        params = single_filter_params(np.ones((1, 1)), 0.0, Activation(kind))
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(params, np.array([[1.0], [bad], [0.5]]))
+
     def test_inverted_dropout_keeps_expectation(self):
         # Mean of the scaled mask over many draws stays within 1% of 1.
         rng = np.random.default_rng(3)
@@ -324,6 +343,21 @@ class TestBackward:
             assert max_relative_error(grads, numeric) <= 1e-4, f"kind={kind}"
             checked += 1
         assert checked == 4
+
+    def test_out_accumulates_in_place(self):
+        params = init_params(tiny_config(seed=3, dropout_rate=0.4))
+        rng = np.random.default_rng(5)
+        traces = [forward(params, rng.normal(size=(5, 3)), rng=rng) for _ in range(3)]
+        out = params.zeros_like()
+        vector = out.vector
+        expected = np.zeros_like(vector)
+        for target, trace in enumerate(traces):
+            assert backward(params, trace, target % 2, 1.5, out=out) is out
+            expected += backward(params, trace, target % 2, 1.5).vector
+        assert out.vector is vector
+        for name, block in out.named_blocks():
+            assert np.shares_memory(block, vector), name
+        np.testing.assert_array_equal(vector, expected)
 
     def test_gradients_scale_linearly_in_sample_weight(self):
         params = init_params(tiny_config(seed=3))
