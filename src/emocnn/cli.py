@@ -1,9 +1,10 @@
 """Command-line pipeline: prepare -> embed -> train -> eval / cv / compare.
 
 Every run resolves its flags up front, writes a `manifest.json` next to its
-outputs, and only then computes; `rerun <manifest>` replays a recorded run
-and reproduces its outputs bit-for-bit on the same machine (wall-clock
-fields excepted, as timing is never reproducible).
+outputs (`main` does this for every command but `rerun`), and only then
+computes; `rerun <manifest>` replays a recorded run and reproduces its
+outputs bit-for-bit on the same machine (wall-clock fields excepted, as
+timing is never reproducible).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 assertion failure.
 """
@@ -46,14 +47,12 @@ from .evaluation import (
 )
 from .functions import ACTIVATION_KINDS, Activation
 from .network import NetworkConfig, load_model, save_model
-from .training import PRESETS, compare_runs, preset_config, run_fold_cv, train
+from .training import PRESETS, TrainConfig, compare_runs, preset_config, run_fold_cv, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ASSERT = 3
-
-PRESET_FIELDS = ("activation", "loss_mode", "filter_widths", "maps_per_width")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +76,21 @@ def _warn(message: str) -> None:
 # Manifests
 # ---------------------------------------------------------------------------
 
-_FLAG_NAMES = {"assert_": "--assert"}
+
+def _flags(mapping: dict) -> list[str]:
+    """Command-line flags for a key -> value mapping (config files, manifests).
+
+    `None` and `False` are skipped, so the flag keeps its default; `True`
+    gives a bare switch; any other value follows its flag as a string. The
+    flag of key `max_epochs` is `--max-epochs`, of `assert_` `--assert`.
+    """
+    argv: list[str] = []
+    for key, value in mapping.items():
+        if value is None or value is False:
+            continue
+        flag = "--" + str(key).rstrip("_").replace("_", "-")
+        argv.extend([flag] if value is True else [flag, str(value)])
+    return argv
 
 
 def write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Path:
@@ -99,27 +112,16 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Pat
     return path
 
 
-def manifest_to_argv(payload: dict) -> list[str]:
-    argv = [payload["command"]]
-    for dest, value in payload["args"].items():
-        if value is None:
-            continue
-        flag = _FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return argv
-
-
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
 
 
 def _load_config_file(path: str) -> dict:
-    """Read flag defaults from a JSON object or key=value lines."""
+    """Read flag defaults from a JSON object or key=value lines.
+
+    In key=value lines, `true` and `false` (any case) are switches.
+    """
     src = Path(path)
     if not src.is_file():
         raise DataError(f"config file not found: {src}")
@@ -140,7 +142,8 @@ def _load_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{src}:{line_num}: expected key=value, got {line!r}")
-        mapping[key.strip()] = value.strip()
+        value = value.strip()
+        mapping[key.strip()] = {"true": True, "false": False}.get(value.lower(), value)
     return mapping
 
 
@@ -158,19 +161,7 @@ def expand_config_flags(argv: list[str]) -> list[str]:
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise DataError("--config needs a file path")
-    mapping = _load_config_file(argv[idx + 1])
-    injected: list[str] = []
-    for key, value in mapping.items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
-        elif str(value).lower() == "true":
-            injected.append(flag)
-        elif str(value).lower() == "false":
-            continue
-        else:
-            injected.extend([flag, str(value)])
+    injected = _flags(_load_config_file(argv[idx + 1]))
     rest = argv[:idx] + argv[idx + 2 :]
     if not rest:
         raise DataError("--config cannot replace the subcommand itself")
@@ -201,6 +192,19 @@ def _parse_synth_spec(text: str) -> dict:
     return spec
 
 
+def _shared_train_settings(args) -> dict:
+    """`preset_config` keywords from the training flags every training command takes."""
+    return dict(
+        dropout_rate=args.dropout,
+        learning_rate=args.lr,
+        batch_size=args.batch,
+        max_epochs=args.max_epochs,
+        convergence_epsilon=args.epsilon,
+        convergence_patience=args.patience,
+        validation_fraction=args.val_fraction,
+    )
+
+
 def _resolve_train_config(args, embedding_dim: int):
     """Materialize the preset, apply explicit flag overrides with a warning."""
     overrides = {}
@@ -216,17 +220,7 @@ def _resolve_train_config(args, embedding_dim: int):
     for name in overrides:
         _warn(f"flag overrides preset {args.preset!r} field {name}")
     return preset_config(
-        args.preset,
-        embedding_dim=embedding_dim,
-        seed=args.seed,
-        dropout_rate=args.dropout,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.max_epochs,
-        convergence_epsilon=args.epsilon,
-        convergence_patience=args.patience,
-        validation_fraction=args.val_fraction,
-        **overrides,
+        args.preset, embedding_dim, seed=args.seed, **_shared_train_settings(args), **overrides
     )
 
 
@@ -237,7 +231,6 @@ def _resolve_train_config(args, embedding_dim: int):
 
 def cmd_prepare(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "prepare", args)
     if args.format == "polarity":
         if not args.path:
             raise DataError("--path is required for --format polarity")
@@ -285,7 +278,6 @@ def cmd_prepare(args) -> int:
 
 def cmd_embed(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "embed", args)
     dataset = load_dataset_json(args.data)
     vocab = build_vocab(dataset, min_count=args.min_count)
     if args.random:
@@ -315,7 +307,6 @@ def cmd_embed(args) -> int:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "train", args)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
@@ -339,7 +330,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "eval", args)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
@@ -378,7 +368,6 @@ def cmd_eval(args) -> int:
 
 def cmd_cv(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "cv", args)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
@@ -409,20 +398,10 @@ def cmd_cv(args) -> int:
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "compare", args)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
-    shared = dict(
-        dropout_rate=args.dropout,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.max_epochs,
-        convergence_epsilon=args.epsilon,
-        convergence_patience=args.patience,
-        validation_fraction=args.val_fraction,
-    )
-    baseline = preset_config(args.baseline_preset, embedding_dim=table.dim, **shared)
-    proposed = preset_config(args.proposed_preset, embedding_dim=table.dim, **shared)
+    baseline = preset_config(args.baseline_preset, table.dim, **_shared_train_settings(args))
+    proposed = preset_config(args.proposed_preset, table.dim, **_shared_train_settings(args))
     report = compare_runs(
         dataset,
         (vocab, table),
@@ -451,7 +430,6 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     out = Path(args.out)
-    write_manifest(out, "gradcheck", args)
     kinds = ACTIVATION_KINDS if args.activation is None else (args.activation,)
     reports = []
     failed = False
@@ -488,7 +466,7 @@ def cmd_rerun(args) -> int:
     with json_artifact(src, "manifest") as payload:
         if payload.get("version") != 1 or "command" not in payload:
             raise DataError(f"{src} is not a version-1 run manifest")
-        argv = manifest_to_argv(payload)
+        argv = [payload["command"], *_flags(payload["args"])]
     if args.out is not None:
         try:
             idx = argv.index("--out")
@@ -506,8 +484,7 @@ def cmd_rerun(args) -> int:
 
 def _add_common_train_flags(parser, with_preset=True):
     if with_preset:
-        parser.add_argument("--preset", default="elreluwl",
-                            choices=["elreluwl", "baseline-sota"],
+        parser.add_argument("--preset", default="elreluwl", choices=sorted(PRESETS),
                             help="named configuration to start from")
         parser.add_argument("--activation", default=None, choices=list(ACTIVATION_KINDS),
                             help="override the preset activation")
@@ -519,16 +496,16 @@ def _add_common_train_flags(parser, with_preset=True):
                             help="override filter widths, e.g. 3,4,5")
         parser.add_argument("--maps", type=int, default=None,
                             help="override feature maps per width")
-        parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dropout", type=float, default=0.4)
-    parser.add_argument("--lr", type=float, default=0.2)
-    parser.add_argument("--batch", type=int, default=100)
-    parser.add_argument("--max-epochs", type=int, default=30)
-    parser.add_argument("--epsilon", type=float, default=0.001,
+        parser.add_argument("--seed", type=int, default=TrainConfig.seed)
+    parser.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
+    parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    parser.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    parser.add_argument("--epsilon", type=float, default=TrainConfig.convergence_epsilon,
                         help="minimum validation improvement for convergence")
-    parser.add_argument("--patience", type=int, default=3,
+    parser.add_argument("--patience", type=int, default=TrainConfig.convergence_patience,
                         help="epochs without improvement before stopping")
-    parser.add_argument("--val-fraction", type=float, default=0.2)
+    parser.add_argument("--val-fraction", type=float, default=TrainConfig.validation_fraction)
     parser.add_argument("--config", default=None,
                         help="JSON or key=value file of flag defaults "
                              "(explicit flags still win)")
@@ -552,13 +529,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("embed", help="build the vocabulary and word vectors")
     p.add_argument("--data", required=True, help="prepared dataset.json")
-    p.add_argument("--dim", type=int, default=200)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--dim", type=int, default=CbowConfig.dim)
+    p.add_argument("--window", type=int, default=CbowConfig.window)
+    p.add_argument("--negatives", type=int, default=CbowConfig.negatives)
+    p.add_argument("--epochs", type=int, default=CbowConfig.epochs)
+    p.add_argument("--lr", type=float, default=CbowConfig.learning_rate)
+    p.add_argument("--min-count", type=int, default=CbowConfig.min_count)
+    p.add_argument("--seed", type=int, default=CbowConfig.seed)
     p.add_argument("--random", action="store_true",
                    help="skip training and emit range-bounded random vectors")
     p.add_argument("--config", default=None,
@@ -605,10 +582,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--baseline-preset", default="baseline-sota",
-                   choices=["elreluwl", "baseline-sota"])
-    p.add_argument("--proposed-preset", default="elreluwl",
-                   choices=["elreluwl", "baseline-sota"])
+    p.add_argument("--baseline-preset", default="baseline-sota", choices=sorted(PRESETS))
+    p.add_argument("--proposed-preset", default="elreluwl", choices=sorted(PRESETS))
     p.add_argument("--test-fraction", type=float, default=0.2)
     _add_common_train_flags(p, with_preset=False)
     p.add_argument("--assert", dest="assert_", action="store_true")
@@ -627,7 +602,7 @@ def build_parser() -> _Parser:
     p.add_argument("--widths", default="2,3")
     p.add_argument("--maps", type=int, default=2)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--dropout", type=float, default=0.4)
+    p.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
     p.add_argument("--assert", dest="assert_", action="store_true")
     p.add_argument("--config", default=None,
                    help="JSON or key=value file of flag defaults")
@@ -648,17 +623,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(expand_config_flags(list(argv)))
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if args.command != "rerun":
+            write_manifest(Path(args.out), args.command, args)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

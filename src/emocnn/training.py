@@ -17,7 +17,7 @@ in a report is bit-reproducible for fixed seeds on one machine.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -274,8 +274,15 @@ class ComparisonReport:
         return metric_rows, summary_rows, md
 
 
-def _early_stop(history, epsilon: float, patience: int) -> tuple[int, bool]:
-    """(best epoch, whether the rule triggered) for `convergence_epoch`'s rule."""
+def early_stop(history, epsilon: float, patience: int) -> tuple[int, bool]:
+    """(best-validation epoch, whether the rule triggered) under the
+    epsilon/patience early-stop rule.
+
+    Training counts as converged once `patience` consecutive epochs fail to
+    beat the running best by more than `epsilon`; the epoch is the (1-based)
+    one holding the running best at that point, or over the full history
+    if the rule never triggers.
+    """
     history = list(history)
     if not history:
         raise ValueError("history must be non-empty")
@@ -293,17 +300,6 @@ def _early_stop(history, epsilon: float, patience: int) -> tuple[int, bool]:
         if misses >= patience:
             return best_epoch, True
     return best_epoch, False
-
-
-def convergence_epoch(history, epsilon: float, patience: int) -> int:
-    """Best-validation epoch under the epsilon/patience early-stop rule.
-
-    Training counts as converged once `patience` consecutive epochs fail to
-    beat the running best by more than `epsilon`; the answer is the (1-based)
-    epoch holding the running best at that point, or over the full history
-    if the rule never triggers.
-    """
-    return _early_stop(history, epsilon, patience)[0]
 
 
 def _stratified_split(dataset: LabeledDataset, fraction: float, rng) -> tuple[list[int], list[int]]:
@@ -404,7 +400,7 @@ def train(
                 ms=elapsed_ms,
             )
         )
-        best_epoch, stop = _early_stop(
+        best_epoch, stop = early_stop(
             [e.val_acc for e in history], config.convergence_epsilon, config.convergence_patience
         )
         if best_epoch == epoch:
@@ -430,6 +426,11 @@ def _fold_seeds(seed: int, k_folds: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(k_folds)]
 
 
+def _pin_seed(config: TrainConfig, seed: int) -> TrainConfig:
+    """`config` with its run seed and its network's init seed both set to `seed`."""
+    return replace(config, seed=seed, network=replace(config.network, seed=seed))
+
+
 def run_fold_cv(
     dataset: LabeledDataset,
     embeddings: tuple[Vocabulary, EmbeddingTable],
@@ -453,15 +454,10 @@ def run_fold_cv(
     for fold, fold_seed in enumerate(_fold_seeds(seed, k_folds)):
         train_ds = dataset.subset(plan.rest_indices(fold))
         test_ds = dataset.subset(plan.fold_indices(fold))
-        fold_config = replace(
-            config,
-            seed=fold_seed,
-            network=replace(config.network, seed=fold_seed),
-        )
         params, report = train(
             train_ds,
             embeddings,
-            fold_config,
+            _pin_seed(config, fold_seed),
             run_id=f"fold{fold}",
             preset=preset,
             dataset_name=dataset_name,
@@ -515,32 +511,25 @@ def compare_runs(
         train_idx, test_idx = _stratified_split(dataset, test_fraction, split_rng)
         train_ds = dataset.subset(train_idx)
         test_ds = dataset.subset(test_idx)
-        arms = {}
+        arms = []  # by position: the two labels may be equal
         for label, config in ((baseline_label, baseline), (proposed_label, proposed)):
-            run_config = replace(
-                config, seed=seed, network=replace(config.network, seed=seed)
-            )
             started = time.perf_counter()
             params, report = train(
                 train_ds,
                 embeddings,
-                run_config,
+                _pin_seed(config, seed),
                 run_id=f"{label}-seed{seed}",
                 preset=label,
                 dataset_name=dataset_name,
             )
             wall_ms = (time.perf_counter() - started) * 1000.0
-            arms[label] = ArmResult(
+            arms.append(ArmResult(
                 label=label,
                 report=report,
                 result=evaluate(params, embeddings, test_ds),
                 wall_ms=wall_ms,
-            )
-        rows.append(
-            ComparisonRow(
-                seed=seed, baseline=arms[baseline_label], proposed=arms[proposed_label]
-            )
-        )
+            ))
+        rows.append(ComparisonRow(seed, *arms))
 
     win_counts = {
         "accuracy_proposed_wins": sum(
@@ -583,47 +572,28 @@ PRESETS = {
 }
 
 
-def preset_config(
-    name: str,
-    embedding_dim: int,
-    seed: int = 0,
-    dropout_rate: float = 0.4,
-    learning_rate: float = 0.2,
-    batch_size: int = 100,
-    max_epochs: int = 30,
-    convergence_epsilon: float = 0.001,
-    convergence_patience: int = 3,
-    validation_fraction: float = 0.2,
-    **overrides,
-) -> TrainConfig:
+def preset_config(name: str, embedding_dim: int, seed: int = 0, **overrides) -> TrainConfig:
     """Materialize a named preset into a TrainConfig.
 
-    Keyword overrides replace individual preset fields (`activation`,
-    `loss_mode`, `filter_widths`, `maps_per_width`).
+    `seed` seeds both the run and the network's initialization. Keyword
+    overrides may be a preset field (`activation`, `loss_mode`,
+    `filter_widths`, `maps_per_width`), `dropout_rate`, or any other
+    `TrainConfig` field (`learning_rate`, `batch_size`, `max_epochs`,
+    `convergence_epsilon`, `convergence_patience`, `validation_fraction`);
+    any other key is a ValueError. Settings not given keep the defaults of
+    `TrainConfig` and `NetworkConfig`.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    settings = dict(PRESETS[name])
-    unknown = set(overrides) - set(settings)
+    network_keys = ("activation", "filter_widths", "maps_per_width", "dropout_rate")
+    allowed = {f.name for f in fields(TrainConfig)} - {"network", "seed"}
+    unknown = set(overrides) - allowed - set(network_keys)
     if unknown:
         raise ValueError(f"unknown preset overrides: {sorted(unknown)}")
-    settings.update(overrides)
+    settings = {**PRESETS[name], **overrides}
     network = NetworkConfig(
-        filter_widths=settings["filter_widths"],
-        maps_per_width=settings["maps_per_width"],
         embedding_dim=embedding_dim,
-        dropout_rate=dropout_rate,
-        activation=settings["activation"],
         seed=seed,
+        **{key: settings.pop(key) for key in network_keys if key in settings},
     )
-    return TrainConfig(
-        network=network,
-        loss_mode=settings["loss_mode"],
-        learning_rate=learning_rate,
-        batch_size=batch_size,
-        max_epochs=max_epochs,
-        convergence_epsilon=convergence_epsilon,
-        convergence_patience=convergence_patience,
-        validation_fraction=validation_fraction,
-        seed=seed,
-    )
+    return TrainConfig(network=network, seed=seed, **settings)

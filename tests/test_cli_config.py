@@ -1,10 +1,17 @@
-"""Tests for config-file flag expansion."""
+"""Tests for config-file flag expansion and manifest replay."""
 
 import json
 
 import pytest
 
-from emocnn.cli import expand_config_flags, main
+from emocnn.cli import (
+    _flags,
+    _load_config_file,
+    build_parser,
+    expand_config_flags,
+    main,
+    write_manifest,
+)
 from emocnn.corpus import DataError
 
 
@@ -30,6 +37,13 @@ def test_missing_config_file_is_data_error(tmp_path):
     code = main(["train", "--config", str(tmp_path / "none.cfg"),
                  "--data", "x", "--embeddings", "y"])
     assert code == 2
+
+
+def test_undecodable_config_file_is_data_error(tmp_path):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00dim=4\n")
+    assert main(["embed", "--data", "x", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+    assert not (tmp_path / "e").exists()
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -78,3 +92,66 @@ def test_repeated_config_flag_is_data_error(tmp_path):
         with pytest.raises(DataError, match="only once"):
             expand_config_flags(["embed", *flags])
         assert main(["embed", "--data", "x", *flags]) == 2
+
+
+def test_key_value_switches_are_read_as_bools(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("random=TRUE\nassert_=false\nout=runs/x\n")
+    assert _load_config_file(str(cfg)) == {"random": True, "assert_": False, "out": "runs/x"}
+    assert _flags(_load_config_file(str(cfg))) == ["--random", "--out", "runs/x"]
+
+
+def test_json_null_leaves_the_default(tmp_path):
+    data_dir = tmp_path / "data"
+    assert main(["prepare", "--format", "synth", "--spec", "n=12,vocab=16,len=6,seed=2",
+                 "--out", str(data_dir)]) == 0
+    tables = []
+    for name, mapping in (("plain", {"dim": 4, "epochs": 1, "random": True}),
+                          ("null", {"dim": 4, "epochs": 1, "random": True, "seed": None})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(mapping))
+        out = tmp_path / name
+        assert main(["embed", "--data", str(data_dir / "dataset.json"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        tables.append((out / "embeddings.json").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_manifest_string_false_replays_as_a_value(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["prepare", "--format", "synth", "--spec", "n=6,vocab=8,len=4,seed=1",
+                 "--out", "false"]) == 0
+    first = (tmp_path / "false" / "dataset.json").read_bytes()
+    (tmp_path / "false" / "dataset.json").unlink()
+    assert main(["rerun", str(tmp_path / "false" / "manifest.json")]) == 0
+    assert (tmp_path / "false" / "dataset.json").read_bytes() == first
+
+
+ROUND_TRIP_ARGV = {
+    "prepare": ["--format", "synth", "--spec", "n=6,seed=1", "--limit-neg", "3"],
+    "embed": ["--data", "d.json", "--random", "--min-count", "2", "--lr", "0.01"],
+    "train": ["--data", "d.json", "--embeddings", "e.json", "--preset", "baseline-sota",
+              "--max-epochs", "4", "--val-fraction", "0.25", "--widths", "2,3"],
+    "eval": ["--model", "m.json", "--data", "d.json", "--embeddings", "e.json", "--assert",
+             "--min-accuracy", "0.9", "--per-stratum", "3"],
+    "cv": ["--data", "d.json", "--embeddings", "e.json", "--assert", "--folds", "3",
+           "--activation", "lrelu", "--epsilon", "1e-05"],
+    "compare": ["--data", "d.json", "--embeddings", "e.json", "--assert",
+                "--baseline-preset", "elreluwl", "--min-convergence-wins", "2"],
+    "gradcheck": ["--assert", "--activation", "drelu", "--a", "0.5", "--h", "1e-06"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGV))
+def test_manifest_round_trip(tmp_path, command):
+    args = build_parser().parse_args([command, *ROUND_TRIP_ARGV[command], "--out", str(tmp_path)])
+    recorded = json.loads(write_manifest(tmp_path, command, args).read_text())["args"]
+    replayed = vars(build_parser().parse_args([command, *_flags(recorded)]))
+    assert {key: replayed[key] for key in recorded} == recorded
+    assert set(replayed) - set(recorded) == {"func", "command"}
+    if command in ("train", "cv"):
+        assert recorded["a"] is None
+    if "--assert" in ROUND_TRIP_ARGV[command]:
+        assert recorded["assert_"] is True
+    if command == "embed":
+        assert recorded["random"] is True

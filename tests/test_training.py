@@ -15,7 +15,7 @@ from emocnn.training import (
     ComparisonReport,
     TrainConfig,
     compare_runs,
-    convergence_epoch,
+    early_stop,
     preset_config,
     run_fold_cv,
     train,
@@ -67,17 +67,17 @@ def small_corpus_and_embeddings():
 
 class TestConvergenceEpoch:
     def test_plateau_returns_best_epoch(self):
-        assert convergence_epoch([0.5, 0.7, 0.9, 0.9, 0.9], 0.001, 2) == 3
+        assert early_stop([0.5, 0.7, 0.9, 0.9, 0.9], 0.001, 2)[0] == 3
 
     def test_monotone_history_never_converges_early(self):
-        assert convergence_epoch([0.5, 0.6, 0.7, 0.8, 0.9], 0.001, 2) == 5
+        assert early_stop([0.5, 0.6, 0.7, 0.8, 0.9], 0.001, 2)[0] == 5
 
     def test_constant_history_returns_first_epoch(self):
-        assert convergence_epoch([0.8, 0.8, 0.8], 0.001, 2) == 1
+        assert early_stop([0.8, 0.8, 0.8], 0.001, 2)[0] == 1
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            convergence_epoch([], 0.001, 2)
+            early_stop([], 0.001, 2)[0]
 
 
 class TestTrain:
@@ -199,6 +199,16 @@ class TestCompareRuns:
         with pytest.raises(ValueError):
             compare_runs(dataset, embeddings, config, config, seeds=[])
 
+    def test_equal_labels_keep_both_arms(self, small_corpus_and_embeddings):
+        dataset, embeddings = small_corpus_and_embeddings
+        baseline = preset_config("baseline-sota", embedding_dim=8, max_epochs=2)
+        proposed = preset_config("elreluwl", embedding_dim=8, maps_per_width=4, max_epochs=2)
+        report = compare_runs(dataset, embeddings, baseline, proposed, seeds=[1],
+                              baseline_label="x", proposed_label="x")
+        (row,) = report.rows
+        assert row.baseline is not row.proposed
+        assert row.baseline.report.params_ref != row.proposed.report.params_ref
+
 
 class TestPresets:
     def test_proposed_preset_composition(self):
@@ -228,6 +238,12 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             preset_config("fancy", embedding_dim=16)
+
+    def test_unknown_override_rejected(self):
+        network = NetworkConfig(filter_widths=(2,), maps_per_width=1, embedding_dim=16)
+        for bad in ({"momentum": 0.9}, {"network": network}, {"num_classes": 3}):
+            with pytest.raises(ValueError, match="unknown preset overrides"):
+                preset_config("elreluwl", embedding_dim=16, **bad)
 
 
 class TestTrainConfigValidation:
