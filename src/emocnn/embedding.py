@@ -126,7 +126,13 @@ def _noise_table(vocab: Vocabulary) -> np.ndarray:
     weights = np.asarray(vocab.counts, dtype=np.float64) ** 0.75
     if weights.sum() == 0:
         weights = np.ones(len(vocab))
-    return np.cumsum(weights / weights.sum())
+    # The rounded cumsum can end below 1.0, and a draw past its end would index past |V|.
+    return np.append(np.cumsum(weights / weights.sum())[:-1], 1.0)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D index matrix: whether it names no index twice."""
+    return (np.diff(np.sort(rows, axis=1), axis=1) != 0).all(axis=1)
 
 
 def train_cbow(dataset: LabeledDataset, vocab: Vocabulary, config: CbowConfig) -> EmbeddingTable:
@@ -135,8 +141,14 @@ def train_cbow(dataset: LabeledDataset, vocab: Vocabulary, config: CbowConfig) -
     For every position the projection h is the sum of the up-to-2*window
     surrounding word vectors; h is scored against the target word and
     `negatives` noise words through a sigmoid, and both vector tables get
-    plain SGD updates. Returns the input-vector table with the mean
-    per-pair objective of each epoch recorded on it.
+    plain SGD updates, position by position. Returns the input-vector table
+    with the mean per-pair objective of each epoch recorded on it.
+
+    Work is batched per document, yet bit-for-bit one `np.subtract.at` step
+    per position: `rng.random(a + b)` equals `random(a)` then `random(b)`;
+    a row of distinct words is gathered and written back once, any other
+    row updated word by word in index order; h sums rows in order, the
+    update stays lr * (g_i * h_j), and positions add to the total in order.
     """
     dim = config.dim
     rng = np.random.default_rng(config.seed)
@@ -144,15 +156,15 @@ def train_cbow(dataset: LabeledDataset, vocab: Vocabulary, config: CbowConfig) -
     out_weights = np.zeros((len(vocab), dim))
     cumulative = _noise_table(vocab)
     lr = config.learning_rate
-    window = config.window
+    window, negatives = config.window, config.negatives
 
     docs_idx = [vocab.indices(doc.tokens) for doc in dataset.documents]
     if all(len(idx) < 2 for idx in docs_idx):
         raise ValueError("no context pairs: every document is shorter than 2 tokens")
 
     objective: list[float] = []
-    labels = np.zeros(1 + config.negatives)
-    labels[0] = 1.0
+    labels = np.r_[1.0, np.zeros(negatives)]
+    offsets = np.r_[0:window, window + 1 : 2 * window + 1]
     for _ in range(config.epochs):
         total = 0.0
         pairs = 0
@@ -160,26 +172,44 @@ def train_cbow(dataset: LabeledDataset, vocab: Vocabulary, config: CbowConfig) -
             length = len(idx)
             if length < 2:
                 continue
-            for pos in range(length):
-                target = idx[pos]
-                lo = max(0, pos - window)
-                ctx = np.concatenate([idx[lo:pos], idx[pos + 1 : pos + 1 + window]])
-                h = vectors[ctx].sum(axis=0)
-
-                draws = np.searchsorted(cumulative, rng.random(config.negatives))
-                candidates = np.concatenate([[target], draws[draws != target]])
-                cand_labels = labels[: len(candidates)]
-                w = out_weights[candidates]
+            draws = np.searchsorted(cumulative, rng.random(length * negatives))
+            candidates = np.column_stack([idx, draws.reshape(length, negatives)])
+            # Context rows with -1 past the ends: two -1s read as a repeat, one hides none.
+            padded = np.pad(idx, window, constant_values=-1)[np.arange(length)[:, None] + offsets]
+            edges = ((padded[:, 0] < 0) | (padded[:, -1] < 0)).tolist()
+            contexts = [row[row >= 0] if edge else row for row, edge in zip(padded, edges)]
+            scores_by_pos = np.zeros((length, 1 + negatives))  # unused slots add log(1) = 0
+            rebuilt = []  # (pos, candidate count) of rows not known to be distinct
+            flags = zip(_distinct_rows(candidates).tolist(), _distinct_rows(padded).tolist())
+            for pos, (ctx, cand, (cand_ok, ctx_ok)) in enumerate(zip(contexts, candidates, flags)):
+                if not cand_ok:
+                    cand = np.concatenate([cand[:1], cand[1:][cand[1:] != cand[0]]])
+                    rebuilt.append((pos, len(cand)))
+                ctx_rows = vectors[ctx]
+                h = np.add.reduce(ctx_rows, 0)
+                w = out_weights[cand]
                 scores = _stable_sigmoid(w @ h)
-                total += -float(
-                    np.log(max(scores[0], LOG_EPS))
-                    + np.log(np.maximum(1.0 - scores[1:], LOG_EPS)).sum()
-                )
-                g = scores - cand_labels
-                grad_h = g @ w
-                np.subtract.at(out_weights, candidates, lr * np.outer(g, h))
-                np.subtract.at(vectors, ctx, lr * grad_h)
-                pairs += 1
+                scores_by_pos[pos, : len(scores)] = scores
+                g = scores - labels[: len(scores)]
+                step = lr * (g @ w)
+                update = lr * np.multiply.outer(g, h)
+                if cand_ok:
+                    out_weights[cand] = w - update
+                else:
+                    for row, u in zip(cand.tolist(), update):
+                        out_weights[row] -= u
+                if ctx_ok:
+                    vectors[ctx] = ctx_rows - step
+                else:
+                    for row in ctx.tolist():
+                        vectors[row] -= step
+            target_terms = np.log(np.maximum(scores_by_pos[:, 0], LOG_EPS))
+            noise_terms = np.log(np.maximum(1.0 - scores_by_pos[:, 1:], LOG_EPS)).sum(axis=1)
+            for pos, n in rebuilt:  # past 8 terms numpy sums pairwise, so padding would regroup
+                noise_terms[pos] = np.log(np.maximum(1.0 - scores_by_pos[pos, 1:n], LOG_EPS)).sum()
+            for t, n in zip(target_terms.tolist(), noise_terms.tolist()):
+                total += -(t + n)
+            pairs += length
         if not np.all(np.isfinite(vectors)) or not np.all(np.isfinite(out_weights)):
             raise ValueError("embedding training produced non-finite values")
         objective.append(total / pairs)

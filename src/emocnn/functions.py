@@ -63,13 +63,10 @@ def _check_finite(x: np.ndarray, what: str) -> None:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp() never sees a large positive argument.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp() only sees -|x| (a NaN keeps its sign), so it never overflows;
+    # e / (1 + e) is 1 / (1 + e^-x) rewritten for x < 0.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def activation_apply(act: Activation, x):

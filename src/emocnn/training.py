@@ -512,13 +512,15 @@ def compare_runs(
         train_ds = dataset.subset(train_idx)
         test_ds = dataset.subset(test_idx)
         arms = []  # by position: the two labels may be equal
-        for label, config in ((baseline_label, baseline), (proposed_label, proposed)):
+        for label, config, arm in ((baseline_label, baseline, "baseline"),
+                                   (proposed_label, proposed, "proposed")):
+            tag = label if baseline_label != proposed_label else f"{label}-{arm}"
             started = time.perf_counter()
             params, report = train(
                 train_ds,
                 embeddings,
                 _pin_seed(config, seed),
-                run_id=f"{label}-seed{seed}",
+                run_id=f"{tag}-seed{seed}",
                 preset=label,
                 dataset_name=dataset_name,
             )

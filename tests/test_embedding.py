@@ -6,6 +6,8 @@ import pytest
 from emocnn.corpus import DataError, Document, LabeledDataset, synth_corpus
 from emocnn.embedding import (
     CbowConfig,
+    Vocabulary,
+    _noise_table,
     build_vocab,
     embed_lookup,
     init_random_embeddings,
@@ -138,6 +140,18 @@ class TestTrainCbow:
         same = [(a, b) for words in (pos, neg) for a in words for b in words if a < b]
         cross = [(a, b) for a in pos for b in neg]
         assert mean_cosine(same) > mean_cosine(cross)
+
+    def test_noise_table_never_indexes_past_the_vocabulary(self):
+        # A Zipf-like 40k vocabulary whose rounded cumsum ends below 1.0: a
+        # draw in that gap used to index past the last word.
+        counts = (0,) + tuple(max(1, 100_000 // r) for r in range(1, 40_000))
+        words = ("<unk>",) + tuple(f"w{r}" for r in range(1, 40_000))
+        vocab = Vocabulary(words, {w: i for i, w in enumerate(words)}, counts)
+        weights = np.asarray(counts, dtype=np.float64) ** 0.75
+        assert np.cumsum(weights / weights.sum())[-1] < 1.0
+        table = _noise_table(vocab)
+        assert table[-1] == 1.0
+        assert np.searchsorted(table, np.nextafter(1.0, 0)) < len(vocab)
 
     def test_no_context_pairs_rejected(self):
         ds = dataset_from_texts(["solo", "another"])

@@ -1,5 +1,6 @@
 """Tests for the training loop, convergence rule, cross-validation, comparison."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from emocnn.corpus import imbalanced_synth_corpus, synth_corpus
 from emocnn.embedding import build_vocab, init_random_embeddings, train_cbow, CbowConfig
-from emocnn.evaluation import strip_timing
+from emocnn.evaluation import emit_report, strip_timing
 from emocnn.functions import Activation
 from emocnn.network import NetworkConfig, params_digest
 from emocnn.training import (
@@ -199,7 +200,7 @@ class TestCompareRuns:
         with pytest.raises(ValueError):
             compare_runs(dataset, embeddings, config, config, seeds=[])
 
-    def test_equal_labels_keep_both_arms(self, small_corpus_and_embeddings):
+    def test_equal_labels_keep_both_arms(self, small_corpus_and_embeddings, tmp_path):
         dataset, embeddings = small_corpus_and_embeddings
         baseline = preset_config("baseline-sota", embedding_dim=8, max_epochs=2)
         proposed = preset_config("elreluwl", embedding_dim=8, maps_per_width=4, max_epochs=2)
@@ -208,6 +209,11 @@ class TestCompareRuns:
         (row,) = report.rows
         assert row.baseline is not row.proposed
         assert row.baseline.report.params_ref != row.proposed.report.params_ref
+        emit_report(report, tmp_path)
+        for name in ("summary.csv", "metrics.csv"):
+            with open(tmp_path / name, newline="") as f:
+                run_ids = {r["run_id"] for r in csv.DictReader(f)}
+            assert run_ids == {"x-baseline-seed1", "x-proposed-seed1"}
 
 
 class TestPresets:
