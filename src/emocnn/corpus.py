@@ -14,6 +14,7 @@ by convention and safe to share across threads.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import logging
@@ -73,6 +74,33 @@ def write_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def encode_floats(array: np.ndarray) -> str:
+    """Base64 text of `array`'s values as little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8")).decode("ascii")
+
+
+def decode_floats(text: object, count: int, src: str | Path, what: str) -> np.ndarray:
+    """The `count` floats that `encode_floats` wrote as `text`, as an owned, writable array.
+
+    A non-string, any non-base64 character, a byte count other than
+    8 * `count` or a non-finite value raises `DataError` naming `src` and
+    the field `what`.
+    """
+    if not isinstance(text, str):
+        raise DataError(f"{src}: {what} must be a base64 string, not {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise DataError(f"{src}: {what} is not valid base64: {exc}") from exc
+    if len(raw) != 8 * count:
+        raise DataError(f"{src}: {what}: expected {count} entries ({8 * count} bytes), "
+                        f"found {len(raw)} bytes")
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise DataError(f"{src}: {what} holds a non-finite value")
+    return values
 
 
 @dataclass(frozen=True)

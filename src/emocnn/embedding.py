@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError, LabeledDataset, UNK_TOKEN, json_artifact, write_atomic
+from .corpus import (DataError, LabeledDataset, UNK_TOKEN, decode_floats, encode_floats,
+                     json_artifact, write_atomic)
 from .functions import LOG_EPS, _stable_sigmoid
 
-EMBEDDING_SCHEMA_VERSION = 1
+EMBEDDING_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def save_embeddings(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) 
         "version": EMBEDDING_SCHEMA_VERSION,
         "dim": table.dim,
         "words": list(vocab.index_to_word),
-        "vectors": table.vectors.ravel().tolist(),
+        "vectors": encode_floats(table.vectors),
     }
     write_atomic(path, json.dumps(payload))
 
@@ -278,13 +279,9 @@ def load_embeddings(path: str | Path) -> tuple[Vocabulary, EmbeddingTable]:
         flat = payload.get("vectors")
         if not words or not isinstance(dim, int) or flat is None:
             raise DataError(f"{src}: embedding checkpoint missing fields")
-        if len(flat) != len(words) * dim:
-            raise DataError(
-                f"{src}: expected {len(words) * dim} vector entries, found {len(flat)}"
-            )
+        vectors = decode_floats(flat, len(words) * dim, src, "vectors").reshape(len(words), dim)
         if len(set(words)) != len(words):
             raise DataError(f"{src}: embedding checkpoint lists a word more than once")
-        vectors = np.asarray(flat, dtype=np.float64).reshape(len(words), dim)
         vocab = Vocabulary(
             index_to_word=tuple(words),
             word_to_index={w: i for i, w in enumerate(words)},

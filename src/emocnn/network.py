@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError, json_artifact, write_atomic
+from .corpus import DataError, decode_floats, encode_floats, json_artifact, write_atomic
 from .functions import Activation, activation_apply, activation_grad, softmax
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 LOSS_CONVENTION = "sum-over-batch"
 
 
@@ -80,6 +80,10 @@ def _block_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes.append(("fc_weights", (config.num_classes, config.total_maps)))
     shapes.append(("fc_bias", (config.num_classes,)))
     return shapes
+
+
+def _param_count(config: NetworkConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _block_shapes(config))
 
 
 @dataclass
@@ -134,7 +138,7 @@ class ForwardTrace:
 def init_params(config: NetworkConfig) -> ModelParams:
     """Uniform fan-based init for all weights, zero biases, seeded."""
     rng = np.random.default_rng(config.seed)
-    params = ModelParams(config, np.zeros(sum(math.prod(s) for _, s in _block_shapes(config))))
+    params = ModelParams(config, np.zeros(_param_count(config)))
     for w, filters in params.filters.items():
         bound = np.sqrt(6.0 / (w * config.embedding_dim + 1))
         filters[...] = rng.uniform(-bound, bound, size=filters.shape)
@@ -336,7 +340,7 @@ def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -
     payload = {
         "version": MODEL_SCHEMA_VERSION,
         "config": config_to_dict(params.config),
-        "params": params.vector.tolist(),
+        "params": encode_floats(params.vector),
         "embedding_ref": embedding_ref,
         "loss_convention": LOSS_CONVENTION,
     }
@@ -360,7 +364,4 @@ def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParam
                 f"but the given table has digest {embedding_ref!r}"
             )
         config = config_from_dict(payload["config"])
-        try:
-            return ModelParams(config, np.asarray(payload["params"], dtype=np.float64))
-        except ValueError as exc:
-            raise DataError(f"{src}: {exc}") from exc
+        return ModelParams(config, decode_floats(payload["params"], _param_count(config), src, "params"))

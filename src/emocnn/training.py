@@ -250,11 +250,10 @@ class ComparisonReport:
         """(metric rows, summary rows, markdown lines) for `emit_report`."""
         metric_rows: list[dict] = []
         summary_rows: list[dict] = []
+        base, prop = f"baseline ({self.baseline_label})", f"proposed ({self.proposed_label})"
         md = [
             "## Paired comparison\n",
-            "| seed | "
-            f"{self.baseline_label} accuracy | {self.baseline_label} epochs | "
-            f"{self.proposed_label} accuracy | {self.proposed_label} epochs |",
+            f"| seed | {base} accuracy | {base} epochs | {prop} accuracy | {prop} epochs |",
             "| --- | --- | --- | --- | --- |",
         ]
         for row in self.rows:

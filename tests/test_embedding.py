@@ -209,8 +209,9 @@ class TestCheckpointRoundTrip:
 
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "embeddings.json"
+        # vectors: [0.0, 0.0] as little-endian float64, two entries for a 2 x 3 table
         path.write_text(
-            '{"version": 1, "dim": 3, "words": ["<unk>", "a"], "vectors": [0.0, 0.0]}',
+            '{"version": 2, "dim": 3, "words": ["<unk>", "a"], "vectors": "AAAAAAAAAAAAAAAAAAAAAA=="}',
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="entries"):
@@ -219,8 +220,10 @@ class TestCheckpointRoundTrip:
     def test_duplicate_words_rejected(self, tmp_path):
         # A repeated word would leave one of its rows unreachable.
         path = tmp_path / "embeddings.json"
+        # vectors: [0.0, 1.0, 2.0] as little-endian float64
         path.write_text(
-            '{"version": 1, "dim": 1, "words": ["<unk>", "a", "a"], "vectors": [0.0, 1.0, 2.0]}',
+            '{"version": 2, "dim": 1, "words": ["<unk>", "a", "a"],'
+            ' "vectors": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAABA"}',
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="embeddings.json.*more than once"):

@@ -215,6 +215,16 @@ class TestCompareRuns:
                 run_ids = {r["run_id"] for r in csv.DictReader(f)}
             assert run_ids == {"x-baseline-seed1", "x-proposed-seed1"}
 
+    def test_equal_labels_get_distinct_report_headers(self):
+        report = ComparisonReport(seeds=[1], rows=[], win_counts={},
+                                  baseline_label="elreluwl", proposed_label="elreluwl")
+        _, _, md = report.report_rows()
+        header = next(line for line in md if line.startswith("| seed |"))
+        columns = [c.strip() for c in header.strip("|").split("|")]
+        assert columns == ["seed", "baseline (elreluwl) accuracy", "baseline (elreluwl) epochs",
+                           "proposed (elreluwl) accuracy", "proposed (elreluwl) epochs"]
+        assert len(set(columns)) == len(columns)
+
 
 class TestPresets:
     def test_proposed_preset_composition(self):
