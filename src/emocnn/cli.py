@@ -30,6 +30,7 @@ from .corpus import (
     write_atomic,
 )
 from .embedding import (
+    DEFAULT_MIN_COUNT,
     CbowConfig,
     build_vocab,
     embedding_digest,
@@ -224,6 +225,18 @@ def _resolve_train_config(args, embedding_dim: int):
     )
 
 
+def _write_results(args, reports, name: str, payload: dict, failure: str = "") -> int:
+    """Write `emit_report`'s files for `reports` and the JSON report `name` into
+    `--out`; under `--assert`, a non-empty `failure` prints and exits 3."""
+    out = Path(args.out)
+    emit_report(reports, out)
+    write_atomic(out / name, json.dumps(payload, indent=2))
+    if failure and args.assert_:
+        print(f"assertion failed: {failure}", file=sys.stderr)
+        return EXIT_ASSERT
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -231,13 +244,11 @@ def _resolve_train_config(args, embedding_dim: int):
 
 def cmd_prepare(args) -> int:
     out = Path(args.out)
+    if args.format != "synth" and not args.path:
+        raise DataError(f"--path is required for --format {args.format}")
     if args.format == "polarity":
-        if not args.path:
-            raise DataError("--path is required for --format polarity")
         dataset = load_polarity_dir(args.path)
     elif args.format == "imdb":
-        if not args.path:
-            raise DataError("--path is required for --format imdb")
         limits = None
         if args.limit_pos is not None or args.limit_neg is not None:
             # an unspecified side stays uncapped
@@ -289,7 +300,6 @@ def cmd_embed(args) -> int:
             negatives=args.negatives,
             epochs=args.epochs,
             learning_rate=args.lr,
-            min_count=args.min_count,
             seed=args.seed,
         )
         table = train_cbow(dataset, vocab, config)
@@ -306,7 +316,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
@@ -318,18 +327,16 @@ def cmd_train(args) -> int:
         preset=args.preset,
         dataset_name=Path(args.data).stem,
     )
-    save_model(out / "model.json", params, embedding_ref=embedding_digest(vocab, table))
-    write_atomic(out / "train_report.json", json.dumps(report.to_dict(), indent=2))
-    emit_report(report, out)
+    model = Path(args.out) / "model.json"
+    save_model(model, params, embedding_ref=embedding_digest(vocab, table))
     print(f"epochs run: {len(report.epochs)}")
     print(f"best validation accuracy: {report.best_validation_accuracy:.4f}")
     print(f"convergence epoch: {report.convergence_epoch}")
-    print(f"wrote {out / 'model.json'}")
-    return EXIT_OK
+    print(f"wrote {model}")
+    return _write_results(args, report, "train_report.json", report.to_dict())
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
@@ -342,32 +349,17 @@ def cmd_eval(args) -> int:
     timing = measure_inference_time(
         params, (vocab, table), timing_docs, warmup=args.warmup, repeats=args.repeats
     )
-    emit_report([result, *strata, timing], out)
-    write_atomic(
-        out / "eval_report.json",
-        json.dumps(
-            {
-                "eval": result.to_dict(),
-                "strata": [s.to_dict() for s in strata],
-                "timing": timing.to_dict(),
-            },
-            indent=2,
-        ),
-    )
     print(f"accuracy: {result.accuracy:.4f}")
     print(f"macro accuracy: {result.macro_accuracy:.4f}")
     print(f"median per-sample ms: {timing.median_ms:.3f}")
-    if args.assert_ and result.accuracy < args.min_accuracy:
-        print(
-            f"assertion failed: accuracy {result.accuracy:.4f} < {args.min_accuracy}",
-            file=sys.stderr,
-        )
-        return EXIT_ASSERT
-    return EXIT_OK
+    payload = {"eval": result.to_dict(), "strata": [s.to_dict() for s in strata],
+               "timing": timing.to_dict()}
+    failure = (f"accuracy {result.accuracy:.4f} < {args.min_accuracy}"
+               if result.accuracy < args.min_accuracy else "")
+    return _write_results(args, [result, *strata, timing], "eval_report.json", payload, failure)
 
 
 def cmd_cv(args) -> int:
-    out = Path(args.out)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     config = _resolve_train_config(args, table.dim)
@@ -380,24 +372,16 @@ def cmd_cv(args) -> int:
         preset=args.preset,
         dataset_name=Path(args.data).stem,
     )
-    emit_report(report, out)
-    write_atomic(out / "cv_report.json", json.dumps(report.to_dict(), indent=2))
     agg = report.aggregate
     print(f"folds: {args.folds}")
     print(f"mean test accuracy: {agg['accuracy_mean']:.4f} (std {agg['accuracy_std']:.4f})")
     print(f"mean convergence epoch: {agg['convergence_epoch_mean']:.2f}")
-    if args.assert_ and agg["accuracy_mean"] < args.min_accuracy:
-        print(
-            f"assertion failed: mean accuracy {agg['accuracy_mean']:.4f} "
-            f"< {args.min_accuracy}",
-            file=sys.stderr,
-        )
-        return EXIT_ASSERT
-    return EXIT_OK
+    failure = (f"mean accuracy {agg['accuracy_mean']:.4f} < {args.min_accuracy}"
+               if agg["accuracy_mean"] < args.min_accuracy else "")
+    return _write_results(args, report, "cv_report.json", report.to_dict(), failure)
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     baseline = preset_config(args.baseline_preset, table.dim, **_shared_train_settings(args))
@@ -413,26 +397,17 @@ def cmd_compare(args) -> int:
         dataset_name=Path(args.data).stem,
         test_fraction=args.test_fraction,
     )
-    emit_report(report, out)
-    write_atomic(out / "comparison.json", json.dumps(report.to_dict(), indent=2))
     for name, value in sorted(report.win_counts.items()):
         print(f"{name}: {value}")
-    if args.assert_ and report.win_counts["convergence_proposed_not_slower"] < args.min_convergence_wins:
-        print(
-            "assertion failed: proposed convergence wins "
-            f"{report.win_counts['convergence_proposed_not_slower']} "
-            f"< {args.min_convergence_wins}",
-            file=sys.stderr,
-        )
-        return EXIT_ASSERT
-    return EXIT_OK
+    wins = report.win_counts["convergence_proposed_not_slower"]
+    failure = (f"proposed convergence wins {wins} < {args.min_convergence_wins}"
+               if wins < args.min_convergence_wins else "")
+    return _write_results(args, report, "comparison.json", report.to_dict(), failure)
 
 
 def cmd_gradcheck(args) -> int:
-    out = Path(args.out)
     kinds = ACTIVATION_KINDS if args.activation is None else (args.activation,)
     reports = []
-    failed = False
     for kind in kinds:
         config = NetworkConfig(
             filter_widths=_parse_ints(args.widths, "filter widths"),
@@ -449,30 +424,18 @@ def cmd_gradcheck(args) -> int:
         reports.append(report)
         status = "FAIL" if report.flagged_blocks else "ok"
         print(f"{kind}: worst relative error {report.worst:.3e} [{status}]")
-        failed = failed or bool(report.flagged_blocks)
-    emit_report(reports, out)
-    write_atomic(
-        out / "gradcheck_report.json",
-        json.dumps({r.label: r.to_dict() for r in reports}, indent=2),
-    )
-    if args.assert_ and failed:
-        print("assertion failed: flagged parameter blocks", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    failure = "flagged parameter blocks" if any(r.flagged_blocks for r in reports) else ""
+    return _write_results(args, reports, "gradcheck_report.json",
+                          {r.label: r.to_dict() for r in reports}, failure)
 
 
 def cmd_rerun(args) -> int:
     src = Path(args.manifest)
-    with json_artifact(src, "manifest") as payload:
-        if payload.get("version") != 1 or "command" not in payload:
-            raise DataError(f"{src} is not a version-1 run manifest")
-        argv = [payload["command"], *_flags(payload["args"])]
-    if args.out is not None:
-        try:
-            idx = argv.index("--out")
-            argv[idx + 1] = args.out
-        except ValueError:
-            argv.extend(["--out", args.out])
+    with json_artifact(src, "run manifest", 1) as payload:
+        flags = payload["args"]
+        if args.out is not None:
+            flags = {**flags, "out": args.out}
+        argv = [payload["command"], *_flags(flags)]
     print(f"replaying: {' '.join(argv)}")
     return main(argv)
 
@@ -482,41 +445,57 @@ def cmd_rerun(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_train_flags(parser, with_preset=True):
-    if with_preset:
-        parser.add_argument("--preset", default="elreluwl", choices=sorted(PRESETS),
-                            help="named configuration to start from")
-        parser.add_argument("--activation", default=None, choices=list(ACTIVATION_KINDS),
-                            help="override the preset activation")
-        parser.add_argument("--a", type=float, default=None,
-                            help="override the activation inflection/slope parameter")
-        parser.add_argument("--loss", default=None, choices=["weighted", "unweighted"],
-                            help="override the preset loss mode")
-        parser.add_argument("--widths", default=None,
-                            help="override filter widths, e.g. 3,4,5")
-        parser.add_argument("--maps", type=int, default=None,
-                            help="override feature maps per width")
-        parser.add_argument("--seed", type=int, default=TrainConfig.seed)
-    parser.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
-    parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    parser.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    parser.add_argument("--epsilon", type=float, default=TrainConfig.convergence_epsilon,
-                        help="minimum validation improvement for convergence")
-    parser.add_argument("--patience", type=int, default=TrainConfig.convergence_patience,
-                        help="epochs without improvement before stopping")
-    parser.add_argument("--val-fraction", type=float, default=TrainConfig.validation_fraction)
-    parser.add_argument("--config", default=None,
-                        help="JSON or key=value file of flag defaults "
-                             "(explicit flags still win)")
+def _shared_flag_groups() -> dict[str, _Parser]:
+    """Argparse parents, one per group of flags that several subcommands share."""
+    groups = {name: _Parser(add_help=False)
+              for name in ("run", "data", "embeddings", "gate", "preset", "training")}
+    g = groups["run"]  # every subcommand but rerun
+    g.add_argument("--config", default=None,
+                   help="JSON or key=value file of flag defaults (explicit flags still win)")
+    g.add_argument("--out", default="out")
+    groups["data"].add_argument("--data", required=True, help="prepared dataset.json")
+    groups["embeddings"].add_argument("--embeddings", required=True,
+                                      help="embeddings.json written by embed")
+    groups["gate"].add_argument("--assert", dest="assert_", action="store_true",
+                                help="exit 3 when the run misses its threshold")
+    g = groups["preset"]
+    g.add_argument("--preset", default="elreluwl", choices=sorted(PRESETS),
+                   help="named configuration to start from")
+    g.add_argument("--activation", default=None, choices=list(ACTIVATION_KINDS),
+                   help="override the preset activation")
+    g.add_argument("--a", type=float, default=None,
+                   help="override the activation inflection/slope parameter")
+    g.add_argument("--loss", default=None, choices=["weighted", "unweighted"],
+                   help="override the preset loss mode")
+    g.add_argument("--widths", default=None, help="override filter widths, e.g. 3,4,5")
+    g.add_argument("--maps", type=int, default=None, help="override feature maps per width")
+    g.add_argument("--seed", type=int, default=TrainConfig.seed)
+    g = groups["training"]
+    g.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
+    g.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    g.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    g.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    g.add_argument("--epsilon", type=float, default=TrainConfig.convergence_epsilon,
+                   help="minimum validation improvement for convergence")
+    g.add_argument("--patience", type=int, default=TrainConfig.convergence_patience,
+                   help="epochs without improvement before stopping")
+    g.add_argument("--val-fraction", type=float, default=TrainConfig.validation_fraction)
+    return groups
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="emocnn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = _shared_flag_groups()
 
-    p = sub.add_parser("prepare", help="load and tokenize a dataset", parents=[])
+    def command(name, func, summary, *group_names):
+        parents = [groups[g] for g in (*group_names, "run")]
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("prepare", cmd_prepare, "load and tokenize a dataset")
     p.add_argument("--format", required=True, choices=["polarity", "imdb", "synth"])
     p.add_argument("--path", default=None, help="dataset root directory or CSV file")
     p.add_argument("--spec", default=None,
@@ -524,74 +503,45 @@ def build_parser() -> _Parser:
                         " (neg=/pos= for uneven classes)")
     p.add_argument("--limit-pos", type=int, default=None)
     p.add_argument("--limit-neg", type=int, default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("embed", help="build the vocabulary and word vectors")
-    p.add_argument("--data", required=True, help="prepared dataset.json")
+    p = command("embed", cmd_embed, "build the vocabulary and word vectors", "data")
     p.add_argument("--dim", type=int, default=CbowConfig.dim)
     p.add_argument("--window", type=int, default=CbowConfig.window)
     p.add_argument("--negatives", type=int, default=CbowConfig.negatives)
     p.add_argument("--epochs", type=int, default=CbowConfig.epochs)
     p.add_argument("--lr", type=float, default=CbowConfig.learning_rate)
-    p.add_argument("--min-count", type=int, default=CbowConfig.min_count)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
     p.add_argument("--seed", type=int, default=CbowConfig.seed)
     p.add_argument("--random", action="store_true",
                    help="skip training and emit range-bounded random vectors")
-    p.add_argument("--config", default=None,
-                   help="JSON or key=value file of flag defaults")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("train", help="train one model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
-    _add_common_train_flags(p)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_train)
+    command("train", cmd_train, "train one model", "data", "embeddings", "preset", "training")
 
-    p = sub.add_parser("eval", help="score a trained model on a dataset")
+    p = command("eval", cmd_eval, "score a trained model on a dataset",
+                "data", "embeddings", "gate")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
     p.add_argument("--strata", type=int, default=10)
     p.add_argument("--per-stratum", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--timing-samples", type=int, default=50)
-    p.add_argument("--config", default=None,
-                   help="JSON or key=value file of flag defaults")
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 3 when accuracy falls below --min-accuracy")
     p.add_argument("--min-accuracy", type=float, default=0.0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("cv", help="k-fold cross-validation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
-    _add_common_train_flags(p)
+    p = command("cv", cmd_cv, "k-fold cross-validation",
+                "data", "embeddings", "preset", "training", "gate")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.add_argument("--min-accuracy", type=float, default=0.0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("compare", help="paired baseline-vs-proposed runs")
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
+    p = command("compare", cmd_compare, "paired baseline-vs-proposed runs",
+                "data", "embeddings", "training", "gate")
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--baseline-preset", default="baseline-sota", choices=sorted(PRESETS))
     p.add_argument("--proposed-preset", default="elreluwl", choices=sorted(PRESETS))
     p.add_argument("--test-fraction", type=float, default=0.2)
-    _add_common_train_flags(p, with_preset=False)
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.add_argument("--min-convergence-wins", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
+    p = command("gradcheck", cmd_gradcheck, "verify gradients against finite differences", "gate")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
@@ -603,11 +553,6 @@ def build_parser() -> _Parser:
     p.add_argument("--maps", type=int, default=2)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
-    p.add_argument("--assert", dest="assert_", action="store_true")
-    p.add_argument("--config", default=None,
-                   help="JSON or key=value file of flag defaults")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("manifest")

@@ -38,11 +38,12 @@ class DataError(Exception):
 
 
 @contextmanager
-def json_artifact(path: str | Path, what: str):
+def json_artifact(path: str | Path, what: str, version: int):
     """Yield the JSON object in the file at `path`, or raise `DataError` naming it.
 
-    A missing file, bad JSON, a non-object, and a `KeyError`, `TypeError` or
-    `AttributeError` inside the block (a missing or mistyped field) all fail.
+    A missing file, bad JSON, a non-object, a `version` field other than
+    `version`, and a `KeyError`, `TypeError` or `AttributeError` inside the
+    block (a missing or mistyped field) all fail.
     """
     src = Path(path)
     if not src.is_file():
@@ -53,6 +54,9 @@ def json_artifact(path: str | Path, what: str):
         raise DataError(f"cannot parse {what} {src}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{src}: {what} must hold a JSON object, not {type(payload).__name__}")
+    if payload.get("version") != version:
+        raise DataError(f"{src}: unsupported {what} version {payload.get('version')!r}, "
+                        f"expected {version}")
     try:
         yield payload
     except (KeyError, TypeError, AttributeError) as exc:
@@ -260,6 +264,19 @@ def load_imdb_csv(
     return LabeledDataset.from_documents(documents)
 
 
+def shuffled_classes(dataset: LabeledDataset, rng) -> list[tuple[int, np.ndarray]]:
+    """(label, that class's document indices in a shuffle by `rng`), labels ascending.
+
+    The one per-class shuffle behind folds, train/validation/test splits and
+    evaluation strata: `rng` shuffles each class once, in label order.
+    """
+    labels = dataset.labels()
+    classes = [(label, np.flatnonzero(labels == label)) for label in sorted(dataset.class_counts)]
+    for _, idx in classes:
+        rng.shuffle(idx)
+    return classes
+
+
 def kfold_split(dataset: LabeledDataset, k_folds: int, seed: int) -> FoldPlan:
     """Stratified fold assignment: per-class seeded shuffle, then round-robin.
 
@@ -270,16 +287,9 @@ def kfold_split(dataset: LabeledDataset, k_folds: int, seed: int) -> FoldPlan:
         raise ValueError(f"k_folds must be >= 2, got {k_folds}")
     if k_folds > dataset.n:
         raise ValueError(f"k_folds={k_folds} exceeds dataset size n={dataset.n}")
-    rng = np.random.default_rng(seed)
+    classes = shuffled_classes(dataset, np.random.default_rng(seed))
     assignments = np.empty(dataset.n, dtype=np.int64)
-    labels = dataset.labels()
-    counter = 0
-    for label in sorted(dataset.class_counts):
-        idx = np.flatnonzero(labels == label)
-        rng.shuffle(idx)
-        for i in idx:
-            assignments[i] = counter % k_folds
-            counter += 1
+    assignments[np.concatenate([idx for _, idx in classes])] = np.arange(dataset.n) % k_folds
     return FoldPlan(
         fold_assignments=tuple(int(a) for a in assignments),
         k_folds=k_folds,
@@ -370,9 +380,7 @@ def save_dataset_json(dataset: LabeledDataset, path: str | Path) -> None:
 
 def load_dataset_json(path: str | Path) -> LabeledDataset:
     src = Path(path)
-    with json_artifact(src, "prepared dataset") as payload:
-        if payload.get("version") != 1 or "documents" not in payload:
-            raise DataError(f"{src} is not a version-1 prepared dataset")
+    with json_artifact(src, "prepared dataset", 1) as payload:
         docs = [
             Document(tokens=tuple(d["tokens"]), label=int(d["label"]), source_id=d.get("source_id", ""))
             for d in payload["documents"]

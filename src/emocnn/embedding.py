@@ -25,6 +25,7 @@ from .corpus import (DataError, LabeledDataset, UNK_TOKEN, decode_floats, encode
 from .functions import LOG_EPS, _stable_sigmoid
 
 EMBEDDING_SCHEMA_VERSION = 2
+DEFAULT_MIN_COUNT = 1
 
 
 @dataclass(frozen=True)
@@ -74,27 +75,28 @@ class CbowConfig:
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.05
-    min_count: int = 1
     seed: int = 1
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        for name in ("dim", "negatives", "epochs", "min_count"):
+        for name in ("dim", "negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
 
 
-def build_vocab(dataset: LabeledDataset, min_count: int = 1) -> Vocabulary:
-    """Index words with frequency >= min_count, rarer ones map to ``<unk>``.
+def build_vocab(dataset: LabeledDataset, min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
+    """Index words with frequency >= min_count (at least 1), rarer ones map to ``<unk>``.
 
     Indices are assigned by descending count, ties broken lexicographically,
     starting at 1 (index 0 is reserved).
     """
     if dataset.n == 0:
         raise ValueError("cannot build a vocabulary from an empty dataset")
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     freq = Counter()
     for doc in dataset.documents:
         freq.update(doc.tokens)
@@ -271,15 +273,16 @@ def save_embeddings(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) 
 
 def load_embeddings(path: str | Path) -> tuple[Vocabulary, EmbeddingTable]:
     src = Path(path)
-    with json_artifact(src, "embedding checkpoint") as payload:
-        if payload.get("version") != EMBEDDING_SCHEMA_VERSION:
-            raise DataError(f"{src}: unsupported embedding checkpoint version")
-        words = payload.get("words")
-        dim = payload.get("dim")
-        flat = payload.get("vectors")
-        if not words or not isinstance(dim, int) or flat is None:
-            raise DataError(f"{src}: embedding checkpoint missing fields")
-        vectors = decode_floats(flat, len(words) * dim, src, "vectors").reshape(len(words), dim)
+    with json_artifact(src, "embedding checkpoint", EMBEDDING_SCHEMA_VERSION) as payload:
+        words, dim = payload["words"], payload["dim"]
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise DataError(f"{src}: words must be a list of strings")
+        if not words or words[0] != UNK_TOKEN:
+            raise DataError(f"{src}: words must start with {UNK_TOKEN}")
+        if type(dim) is not int or dim < 1:
+            raise DataError(f"{src}: dim must be a positive integer, not {dim!r}")
+        vectors = decode_floats(payload["vectors"], len(words) * dim, src, "vectors")
+        vectors = vectors.reshape(len(words), dim)
         if len(set(words)) != len(words):
             raise DataError(f"{src}: embedding checkpoint lists a word more than once")
         vocab = Vocabulary(

@@ -6,6 +6,8 @@ Three artifacts are written by `emit_report` into the output directory:
   * ``summary.csv``  - one row per run (folds and aggregates included);
   * ``report.md``    - human-readable tables over the same numbers.
 
+Each CLI command writes its JSON report (``to_dict()``) next to them.
+
 Each report type (the results here and the training reports) supplies its
 rows through a `report_rows()` method. CSV output is RFC-4180, UTF-8, '.'
 decimal separator, floats printed with 12 significant digits so parsing the
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import LabeledDataset, write_atomic
+from .corpus import LabeledDataset, shuffled_classes, write_atomic
 from .embedding import EmbeddingTable, Vocabulary, embed_lookup
 from .functions import activation_apply, cross_entropy
 from .network import (
@@ -249,18 +251,16 @@ def stratified_sample_eval(
     once. Each row carries both the stratum accuracy and the mean predicted
     probability of the true class, both from one `predict` per document.
     """
-    rng = np.random.default_rng(seed)
-    labels = dataset.labels()
+    if strata < 0 or per_stratum < 1:
+        raise ValueError(f"need strata >= 0 and per_stratum >= 1, got {strata} and {per_stratum}")
     out: list[StratumEval] = []
-    for label in sorted(dataset.class_counts):
-        idx = np.flatnonzero(labels == label)
+    for label, idx in shuffled_classes(dataset, np.random.default_rng(seed)):
         needed = strata * per_stratum
         if len(idx) < needed:
             raise ValueError(
                 f"class {label} has {len(idx)} documents, "
                 f"but {strata} strata of {per_stratum} need {needed}"
             )
-        rng.shuffle(idx)
         for s in range(strata):
             group = idx[s * per_stratum : (s + 1) * per_stratum]
             subset = dataset.subset(group)

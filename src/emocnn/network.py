@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -306,18 +306,6 @@ def params_digest(params: ModelParams) -> str:
     return h.hexdigest()[:16]
 
 
-def config_to_dict(config: NetworkConfig) -> dict:
-    return {
-        "filter_widths": list(config.filter_widths),
-        "maps_per_width": config.maps_per_width,
-        "embedding_dim": config.embedding_dim,
-        "num_classes": config.num_classes,
-        "dropout_rate": config.dropout_rate,
-        "activation": {"kind": config.activation.kind, "a": config.activation.a},
-        "seed": config.seed,
-    }
-
-
 def config_from_dict(payload: dict) -> NetworkConfig:
     act = payload["activation"]
     return NetworkConfig(
@@ -339,7 +327,7 @@ def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -
     """
     payload = {
         "version": MODEL_SCHEMA_VERSION,
-        "config": config_to_dict(params.config),
+        "config": asdict(params.config),
         "params": encode_floats(params.vector),
         "embedding_ref": embedding_ref,
         "loss_convention": LOSS_CONVENTION,
@@ -354,9 +342,7 @@ def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParam
     digest is refused: the model would score a table it never saw.
     """
     src = Path(path)
-    with json_artifact(src, "model checkpoint") as payload:
-        if payload.get("version") != MODEL_SCHEMA_VERSION:
-            raise DataError(f"{src}: unsupported model checkpoint version")
+    with json_artifact(src, "model checkpoint", MODEL_SCHEMA_VERSION) as payload:
         stored_ref = payload.get("embedding_ref", "")
         if embedding_ref is not None and stored_ref and stored_ref != embedding_ref:
             raise DataError(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import LabeledDataset
+from .corpus import LabeledDataset, kfold_split, shuffled_classes
 from .embedding import EmbeddingTable, Vocabulary, _sentence_rows
 from .evaluation import EvalResult, _fmt, evaluate
 from .functions import Activation, cross_entropy, weights_from_counts
@@ -303,14 +303,11 @@ def early_stop(history, epsilon: float, patience: int) -> tuple[int, bool]:
 
 def _stratified_split(dataset: LabeledDataset, fraction: float, rng) -> tuple[list[int], list[int]]:
     """Per class, carve off `fraction` of documents (at least one per side)."""
-    labels = dataset.labels()
     held: list[int] = []
     rest: list[int] = []
-    for label in sorted(dataset.class_counts):
-        idx = np.flatnonzero(labels == label)
+    for label, idx in shuffled_classes(dataset, rng):
         if len(idx) < 2:
             raise ValueError(f"class {label} has too few documents to split")
-        rng.shuffle(idx)
         n_held = min(max(1, int(fraction * len(idx))), len(idx) - 1)
         held.extend(int(i) for i in idx[:n_held])
         rest.extend(int(i) for i in idx[n_held:])
@@ -445,8 +442,6 @@ def run_fold_cv(
     split) and is scored on the held-out fold. Aggregates report the mean
     and sample standard deviation over folds.
     """
-    from .corpus import kfold_split
-
     plan = kfold_split(dataset, k_folds, seed)
     fold_reports: list[TrainReport] = []
     fold_evals: list[EvalResult] = []
@@ -504,6 +499,8 @@ def compare_runs(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed to compare")
+    if not (0.0 < test_fraction < 1.0):
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rows: list[ComparisonRow] = []
     for seed in seeds:
         split_rng = np.random.default_rng(seed)

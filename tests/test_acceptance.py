@@ -297,7 +297,7 @@ def test_criterion_9_full_polarity_reproduction():
     dataset = load_polarity_dir(os.environ["EMOCNN_POLARITY_DIR"])
     vocab = build_vocab(dataset, min_count=5)
     table = train_cbow(dataset, vocab, CbowConfig(window=2, dim=200, negatives=5,
-                                                  epochs=3, min_count=5, seed=7))
+                                                  epochs=3, seed=7))
     config = preset_config("elreluwl", embedding_dim=200, max_epochs=30,
                            learning_rate=0.01, batch_size=50)
     report = run_fold_cv(dataset, (vocab, table), config, k_folds=5, seed=7)

@@ -159,3 +159,24 @@ def test_encode_is_little_endian_whatever_the_input_order():
     assert encode_floats(big) == encode_floats(big.astype("<f8"))
     assert encode_floats(big.T) == encode_floats(np.ascontiguousarray(big.T, dtype="<f8"))
     assert base64.b64decode(encode_floats(np.array([1.0])))[::-1].hex() == "3ff0000000000000"
+
+
+@pytest.mark.parametrize("words, message", [
+    (["a", "<unk>"], "words must start with <unk>"),
+    (["<unk>", 3], "words must be a list of strings"),
+], ids=["unk-not-first", "non-string"])
+def test_a_bad_word_list_is_refused(tmp_path, words, message):
+    path = tmp_path / "embeddings.json"
+    save_small_embeddings(path)
+    rewrite(path, words=words, dim=1, vectors=encode_floats(np.zeros(len(words))))
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        load_embeddings(path)
+
+
+def test_a_dim_that_is_not_a_positive_int_is_refused(tmp_path):
+    path = tmp_path / "embeddings.json"
+    save_small_embeddings(path)
+    for dim in (0, -1, 1.0, True, "3"):
+        rewrite(path, dim=dim, vectors="")
+        with pytest.raises(DataError, match=re.escape(f"{path}: dim must be a positive integer")):
+            load_embeddings(path)

@@ -105,6 +105,14 @@ class TestEmbed:
         assert main(["embed", "--data", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "emb")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--min-count", "0"], ["--random", "--min-count", "-3"]])
+    def test_min_count_below_one_is_a_data_error(self, tmp_path, prepared, capsys, flags):
+        out = tmp_path / "emb"
+        assert main(["embed", "--data", str(prepared), "--dim", "4", *flags,
+                     "--out", str(out)]) == 2
+        assert "min_count must be >= 1" in capsys.readouterr().err
+        assert not (out / "embeddings.json").exists()
+
 
 class TestMalformedArtifacts:
     """A readable JSON artifact with a missing or mistyped field is a data error."""
@@ -212,6 +220,41 @@ class TestEvalCvCompare:
                      "--strata", "2", "--per-stratum", "5", "--out", str(tmp_path / "good")])
         assert code == 0
 
+    def test_eval_refuses_a_stratum_size_below_one(self, tmp_path, prepared, embedded,
+                                                   trained, capsys):
+        out = tmp_path / "eval"
+        code = main(["eval", "--model", str(trained / "model.json"),
+                     "--data", str(prepared), "--embeddings", str(embedded),
+                     "--strata", "1", "--per-stratum", "-1", "--out", str(out)])
+        assert code == 2
+        assert "per_stratum >= 1" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "-0.5"])
+    def test_compare_refuses_a_test_fraction_outside_0_1(self, tmp_path, prepared, embedded,
+                                                         capsys, fraction):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--data", str(prepared), "--embeddings", str(embedded),
+                     "--seeds", "1", "--max-epochs", "1", "--test-fraction", fraction,
+                     "--out", str(out)])
+        assert code == 2
+        assert "test_fraction must lie in (0, 1)" in capsys.readouterr().err
+        assert not (out / "comparison.json").exists()
+
+    @pytest.mark.parametrize("command, flags, report", [
+        ("cv", [*FAST_TRAIN, "--folds", "2", "--min-accuracy", "1.1"], "cv_report.json"),
+        ("compare", ["--seeds", "1", "--max-epochs", "1", "--min-convergence-wins", "2"],
+         "comparison.json"),
+    ])
+    def test_a_missed_threshold_exits_3_after_writing(self, tmp_path, prepared, embedded,
+                                                      capsys, command, flags, report):
+        out = tmp_path / command
+        code = main([command, "--data", str(prepared), "--embeddings", str(embedded), *flags,
+                     "--assert", "--out", str(out)])
+        assert code == 3
+        assert "assertion failed" in capsys.readouterr().err
+        assert (out / report).is_file() and (out / "summary.csv").is_file()
+
     def test_cv(self, tmp_path, prepared, embedded, capsys):
         out = tmp_path / "cv"
         code = main(["cv", "--data", str(prepared), "--embeddings", str(embedded),
@@ -245,6 +288,14 @@ class TestGradcheck:
         payload = json.loads((out / "gradcheck_report.json").read_text())
         assert list(payload) == ["sigmoid"]
         assert payload["sigmoid"]["flagged_blocks"] == []
+
+    def test_flagged_blocks_exit_3_under_assert(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = main(["gradcheck", "--trials", "2", "--activation", "sigmoid", "--tol", "0",
+                     "--assert", "--out", str(out)])
+        assert code == 3
+        assert "flagged parameter blocks" in capsys.readouterr().err
+        assert json.loads((out / "gradcheck_report.json").read_text())["sigmoid"]["flagged_blocks"]
 
     def test_all_activations(self, tmp_path):
         out = tmp_path / "gc"

@@ -1,5 +1,6 @@
 """Tests for config-file flag expansion and manifest replay."""
 
+import argparse
 import json
 
 import pytest
@@ -155,3 +156,36 @@ def test_manifest_round_trip(tmp_path, command):
         assert recorded["assert_"] is True
     if command == "embed":
         assert recorded["random"] is True
+
+
+TRAIN_FLAGS = {"--dropout", "--lr", "--batch", "--max-epochs", "--epsilon", "--patience",
+               "--val-fraction"}
+PRESET_FLAGS = {"--preset", "--activation", "--a", "--loss", "--widths", "--maps", "--seed"}
+SUBCOMMAND_FLAGS = {
+    "prepare": {"--format", "--path", "--spec", "--limit-pos", "--limit-neg", "--config", "--out"},
+    "embed": {"--data", "--dim", "--window", "--negatives", "--epochs", "--lr", "--min-count",
+              "--seed", "--random", "--config", "--out"},
+    "train": {"--data", "--embeddings", "--config", "--out"} | PRESET_FLAGS | TRAIN_FLAGS,
+    "eval": {"--model", "--data", "--embeddings", "--strata", "--per-stratum", "--seed",
+             "--warmup", "--repeats", "--timing-samples", "--config", "--assert",
+             "--min-accuracy", "--out"},
+    "cv": {"--data", "--embeddings", "--folds", "--assert", "--min-accuracy", "--config",
+           "--out"} | PRESET_FLAGS | TRAIN_FLAGS,
+    "compare": {"--data", "--embeddings", "--seeds", "--baseline-preset", "--proposed-preset",
+                "--test-fraction", "--assert", "--min-convergence-wins", "--config",
+                "--out"} | TRAIN_FLAGS,
+    "gradcheck": {"--trials", "--h", "--tol", "--seed", "--activation", "--a", "--widths",
+                  "--maps", "--dim", "--dropout", "--assert", "--config", "--out"},
+    "rerun": {"--out"},
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+    for name, subparser in sub.choices.items():
+        flags = {o for a in subparser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == SUBCOMMAND_FLAGS[name], name
+    positionals = [a.dest for a in sub.choices["rerun"]._actions if not a.option_strings]
+    assert positionals == ["manifest"]

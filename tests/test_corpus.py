@@ -1,7 +1,9 @@
 """Tests for tokenization, dataset loaders, fold planning, and synthetic corpora."""
 
+import json
 import logging
 import math
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -12,12 +14,14 @@ from emocnn.corpus import (
     Document,
     LabeledDataset,
     imbalanced_synth_corpus,
+    json_artifact,
     kfold_split,
     length_stats,
     load_dataset_json,
     load_imdb_csv,
     load_polarity_dir,
     save_dataset_json,
+    shuffled_classes,
     synth_corpus,
     tokenize,
 )
@@ -312,6 +316,42 @@ class TestDatasetJsonRoundTrip:
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(DataError):
             load_dataset_json(path)
+
+    @pytest.mark.parametrize("version", [None, 2, "1"])
+    def test_another_version_is_refused_naming_the_file(self, tmp_path, version):
+        path = tmp_path / "dataset.json"
+        save_dataset_json(synth_corpus(2, 8, 3, 1.0, seed=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = version
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: unsupported prepared dataset version {version!r}, expected 1")):
+            load_dataset_json(path)
+
+
+def test_json_artifact_checks_the_version_before_the_block_runs(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"version": 3, "x": 1}', encoding="utf-8")
+    with json_artifact(path, "thing", 3) as payload:
+        assert payload == {"version": 3, "x": 1}
+    entered = []
+    with pytest.raises(DataError, match=re.escape(f"{path}: unsupported thing version 3")):
+        with json_artifact(path, "thing", 4):
+            entered.append(True)
+    assert entered == []
+
+
+def test_shuffled_classes_is_one_shuffle_per_class_in_label_order():
+    ds = imbalanced_synth_corpus(n_negative=9, n_positive=5, vocab_size=8, doc_len=3,
+                                 signal_strength=1.0, seed=2)
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    classes = shuffled_classes(ds, rng)
+    assert [label for label, _ in classes] == [0, 1]
+    for label, idx in classes:
+        expected = np.flatnonzero(ds.labels() == label)
+        reference.shuffle(expected)
+        assert idx.tolist() == expected.tolist()
+    assert rng.random() == reference.random()
 
 
 def test_length_stats():

@@ -55,6 +55,11 @@ class TestBuildVocab:
         with pytest.raises(ValueError):
             build_vocab(dataset_from_texts(["a b c"]), min_count=5)
 
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_threshold_below_one_rejected(self, min_count):
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            build_vocab(dataset_from_texts(["a b c"]), min_count=min_count)
+
     def test_indices_match_one_lookup_per_token(self):
         # The quickstart corpus; words below min_count and words never seen
         # map to the unknown slot 0.
@@ -92,8 +97,7 @@ class TestRandomEmbeddings:
 
 class TestTrainCbow:
     def tiny_config(self, **overrides):
-        base = dict(window=2, dim=4, negatives=3, epochs=1, learning_rate=0.05,
-                    min_count=1, seed=7)
+        base = dict(window=2, dim=4, negatives=3, epochs=1, learning_rate=0.05, seed=7)
         base.update(overrides)
         return CbowConfig(**base)
 

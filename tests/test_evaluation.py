@@ -120,6 +120,16 @@ class TestStratifiedSampleEval:
         with pytest.raises(ValueError, match="class 0"):
             stratified_sample_eval(params, embeddings, dataset, 10, 20, seed=1)
 
+    @pytest.mark.parametrize("strata, per_stratum", [(-1, 5), (1, 0), (1, -1)])
+    def test_sizes_out_of_range_rejected(self, strata, per_stratum):
+        dataset, embeddings, params = make_fixture(n_per_class=30)
+        with pytest.raises(ValueError, match="need strata >= 0 and per_stratum >= 1"):
+            stratified_sample_eval(params, embeddings, dataset, strata, per_stratum, seed=1)
+
+    def test_zero_strata_scores_nothing(self):
+        dataset, embeddings, params = make_fixture(n_per_class=30)
+        assert stratified_sample_eval(params, embeddings, dataset, 0, 5, seed=1) == []
+
     def test_one_predict_per_document_and_same_rows(self, monkeypatch):
         dataset, embeddings, params = make_fixture(n_per_class=60)
         vocab, table = embeddings

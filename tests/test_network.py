@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from emocnn.network import (
     ModelParams,
     NetworkConfig,
     backward,
-    config_to_dict,
     dropout_mask,
     forward,
     init_params,
@@ -528,7 +528,7 @@ class TestCheckpoint:
         params = init_params(tiny_config())
         v1 = {
             "version": 1,
-            "config": config_to_dict(params.config),
+            "config": asdict(params.config),
             "filters": [{"width": 2, "weights": f.ravel().tolist(), "bias": float(b)}
                         for f, b in zip(params.filters[2], params.filter_biases[2])],
             "fc_weights": params.fc_weights.ravel().tolist(),

@@ -200,6 +200,14 @@ class TestCompareRuns:
         with pytest.raises(ValueError):
             compare_runs(dataset, embeddings, config, config, seeds=[])
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5])
+    def test_test_fraction_outside_the_open_unit_interval_rejected(
+            self, small_corpus_and_embeddings, fraction):
+        dataset, embeddings = small_corpus_and_embeddings
+        config = small_config()
+        with pytest.raises(ValueError, match="test_fraction must lie in"):
+            compare_runs(dataset, embeddings, config, config, seeds=[1], test_fraction=fraction)
+
     def test_equal_labels_keep_both_arms(self, small_corpus_and_embeddings, tmp_path):
         dataset, embeddings = small_corpus_and_embeddings
         baseline = preset_config("baseline-sota", embedding_dim=8, max_epochs=2)
