@@ -40,11 +40,13 @@ from .embedding import (
     train_cbow,
 )
 from .evaluation import (
+    draw_strata,
     emit_report,
-    evaluate,
+    eval_result,
     gradient_check,
     measure_inference_time,
-    stratified_sample_eval,
+    score_dataset,
+    strata_rows,
 )
 from .functions import ACTIVATION_KINDS, Activation
 from .network import NetworkConfig, load_model, save_model
@@ -340,11 +342,10 @@ def cmd_eval(args) -> int:
     dataset = load_dataset_json(args.data)
     vocab, table = load_embeddings(args.embeddings)
     params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
-    result = evaluate(params, (vocab, table), dataset)
-    strata = stratified_sample_eval(
-        params, (vocab, table), dataset,
-        strata=args.strata, per_stratum=args.per_stratum, seed=args.seed,
-    )
+    draws = draw_strata(dataset, args.strata, args.per_stratum, args.seed)
+    probs = score_dataset(params, (vocab, table), dataset)
+    result = eval_result(dataset, probs)
+    strata = strata_rows(dataset, draws, probs)
     timing_docs = dataset.documents[: args.timing_samples]
     timing = measure_inference_time(
         params, (vocab, table), timing_docs, warmup=args.warmup, repeats=args.repeats

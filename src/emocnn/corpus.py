@@ -381,10 +381,14 @@ def save_dataset_json(dataset: LabeledDataset, path: str | Path) -> None:
 def load_dataset_json(path: str | Path) -> LabeledDataset:
     src = Path(path)
     with json_artifact(src, "prepared dataset", 1) as payload:
-        docs = [
-            Document(tokens=tuple(d["tokens"]), label=int(d["label"]), source_id=d.get("source_id", ""))
-            for d in payload["documents"]
-        ]
+        docs = []
+        for d in payload["documents"]:
+            tokens, label = d["tokens"], d["label"]
+            if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
+                raise TypeError(f"document {len(docs)}: tokens must be a non-empty list of strings")
+            if type(label) is not int or label not in (0, 1):  # refuses bools and floats such as 1.7
+                raise TypeError(f"document {len(docs)}: label must be the integer 0 or 1, got {label!r}")
+            docs.append(Document(tokens=tuple(tokens), label=label, source_id=d.get("source_id", "")))
         dataset = LabeledDataset.from_documents(docs)
         recorded = {int(c): m for c, m in payload["class_counts"].items()}
     if recorded != dataset.class_counts:

@@ -1,5 +1,8 @@
 """Metrics, inference timing, the gradient-check harness, and report files.
 
+`evaluate` and the stratified rows score a document set in one packed
+`network.score` call; `measure_inference_time` times `predict` per review.
+
 Three artifacts are written by `emit_report` into the output directory:
 
   * ``metrics.csv``  - one row per (run, epoch) of training history;
@@ -36,6 +39,7 @@ from .network import (
     forward,
     init_params,
     predict,
+    score,
 )
 
 
@@ -189,26 +193,19 @@ class GradCheckReport:
         return [], summary_rows, md
 
 
-def _predict_all(
-    params: ModelParams,
-    embeddings: tuple[Vocabulary, EmbeddingTable],
-    dataset: LabeledDataset,
-):
-    """(class, probabilities) of every document, one `predict` call each."""
+def score_dataset(params: ModelParams, embeddings: tuple[Vocabulary, EmbeddingTable],
+                  dataset: LabeledDataset) -> np.ndarray:
+    """(n, classes) evaluation-mode probabilities of every document, one `score` call."""
     vocab, table = embeddings
-    max_width = params.config.max_width
-    return [
-        predict(params, embed_lookup(vocab, table, doc.tokens, min_rows=max_width))
-        for doc in dataset.documents
-    ]
+    return score(params, table.vectors, [vocab.indices(doc.tokens) for doc in dataset.documents])
 
 
-def _eval_result(dataset: LabeledDataset, decisions) -> EvalResult:
-    """Tally the confusion matrix of per-document class decisions."""
+def eval_result(dataset: LabeledDataset, probs: np.ndarray) -> EvalResult:
+    """Tally the confusion matrix of the class decisions (ties to the smaller index) of `probs`."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate an empty dataset")
     confusion = {"TP": 0, "TN": 0, "FP": 0, "FN": 0}
-    for doc, cls in zip(dataset.documents, decisions):
+    for doc, cls in zip(dataset.documents, np.argmax(probs, axis=1)):
         if doc.label == 1:
             confusion["TP" if cls == 1 else "FN"] += 1
         else:
@@ -219,41 +216,25 @@ def _eval_result(dataset: LabeledDataset, decisions) -> EvalResult:
         per_class[1] = confusion["TP"] / (confusion["TP"] + confusion["FN"])
     if confusion["TN"] + confusion["FP"] > 0:
         per_class[0] = confusion["TN"] / (confusion["TN"] + confusion["FP"])
-    return EvalResult(
-        accuracy=accuracy,
-        per_class_accuracy=per_class,
-        confusion=confusion,
-        n_evaluated=dataset.n,
-    )
+    return EvalResult(accuracy, per_class, confusion, n_evaluated=dataset.n)
 
 
-def evaluate(
-    params: ModelParams,
-    embeddings: tuple[Vocabulary, EmbeddingTable],
-    dataset: LabeledDataset,
-) -> EvalResult:
-    """Run the model over every document and tally the confusion matrix."""
-    return _eval_result(dataset, [cls for cls, _ in _predict_all(params, embeddings, dataset)])
+def evaluate(params: ModelParams, embeddings: tuple[Vocabulary, EmbeddingTable],
+             dataset: LabeledDataset) -> EvalResult:
+    """Score every document in one pass and tally the confusion matrix."""
+    return eval_result(dataset, score_dataset(params, embeddings, dataset))
 
 
-def stratified_sample_eval(
-    params: ModelParams,
-    embeddings: tuple[Vocabulary, EmbeddingTable],
-    dataset: LabeledDataset,
-    strata: int,
-    per_stratum: int,
-    seed: int,
-) -> list[StratumEval]:
-    """Evaluate `strata` disjoint seeded groups of `per_stratum` docs per class.
+def draw_strata(dataset: LabeledDataset, strata: int, per_stratum: int, seed: int) -> list[tuple]:
+    """(class label, stratum number, document indices) of `strata` groups per class.
 
-    Groups are drawn without replacement inside each class, so the row
-    structure is (classes x strata) with every document appearing at most
-    once. Each row carries both the stratum accuracy and the mean predicted
-    probability of the true class, both from one `predict` per document.
+    Groups are drawn without replacement inside each class, so every
+    document is in at most one. Bad counts, or a class too small for them,
+    raise `ValueError`.
     """
     if strata < 0 or per_stratum < 1:
         raise ValueError(f"need strata >= 0 and per_stratum >= 1, got {strata} and {per_stratum}")
-    out: list[StratumEval] = []
+    draws = []
     for label, idx in shuffled_classes(dataset, np.random.default_rng(seed)):
         needed = strata * per_stratum
         if len(idx) < needed:
@@ -261,21 +242,29 @@ def stratified_sample_eval(
                 f"class {label} has {len(idx)} documents, "
                 f"but {strata} strata of {per_stratum} need {needed}"
             )
-        for s in range(strata):
-            group = idx[s * per_stratum : (s + 1) * per_stratum]
-            subset = dataset.subset(group)
-            scored = _predict_all(params, embeddings, subset)
-            true_probs = [probs[doc.label] for doc, (_, probs) in zip(subset.documents, scored)]
-            out.append(
-                StratumEval(
-                    class_label=int(label),
-                    stratum=s + 1,
-                    result=_eval_result(subset, [cls for cls, _ in scored]),
-                    mean_true_class_prob=float(np.mean(true_probs)),
-                    doc_indices=tuple(int(i) for i in group),
-                )
-            )
-    return out
+        draws += [(int(label), s + 1, idx[s * per_stratum : (s + 1) * per_stratum])
+                  for s in range(strata)]
+    return draws
+
+
+def strata_rows(dataset: LabeledDataset, draws, probs: np.ndarray) -> list[StratumEval]:
+    """Each drawn group's accuracy and mean true-class probability; `probs[i]` is doc i's."""
+    return [
+        StratumEval(label, stratum, eval_result(dataset.subset(group), probs[group]),
+                    float(np.mean(probs[group, label])), tuple(int(i) for i in group))
+        for label, stratum, group in draws
+    ]
+
+
+def stratified_sample_eval(params: ModelParams, embeddings: tuple[Vocabulary, EmbeddingTable],
+                           dataset: LabeledDataset, strata: int, per_stratum: int,
+                           seed: int) -> list[StratumEval]:
+    """Evaluate the `draw_strata` groups; all sampled documents go through one `score` call."""
+    draws = draw_strata(dataset, strata, per_stratum, seed)
+    sampled = [i for _, _, group in draws for i in group]
+    probs = np.zeros((dataset.n, params.config.num_classes))
+    probs[sampled] = score_dataset(params, embeddings, dataset.subset(sampled))
+    return strata_rows(dataset, draws, probs)
 
 
 def measure_inference_time(

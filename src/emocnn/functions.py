@@ -111,14 +111,13 @@ def activation_grad(act: Activation, x):
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stabilized softmax over a 1-D logit vector."""
+    """Numerically stabilized softmax over the last axis: one distribution per row."""
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.size == 0:
+    if arr.shape[-1:] == (0,):
         raise ValueError("softmax of an empty vector")
     _check_finite(arr, "logits")
-    shifted = arr - arr.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    ex = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def weights_from_counts(class_counts: Mapping[int, int]) -> dict[int, float]:

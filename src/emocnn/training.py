@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import LabeledDataset, kfold_split, shuffled_classes
 from .embedding import EmbeddingTable, Vocabulary, _sentence_rows
-from .evaluation import EvalResult, _fmt, evaluate
+from .evaluation import EvalResult, _fmt, eval_result, evaluate
 from .functions import Activation, cross_entropy, weights_from_counts
 from .network import (
     ModelParams,
@@ -32,6 +32,7 @@ from .network import (
     forward,
     init_params,
     params_digest,
+    score,
     sgd_step,
 )
 
@@ -327,7 +328,7 @@ def train(
     A stratified validation split is carved from the given data first;
     class weights (weighted mode) come from the remaining training split
     only. Each epoch runs a seeded shuffle and summed-gradient batches,
-    then scores the validation split in evaluation mode. Training stops at
+    then scores the validation split in one `score` pass. Training stops at
     `max_epochs` or once the convergence rule triggers. Documents are
     indexed once per call; a batch adds its gradients into one vector.
     """
@@ -342,9 +343,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _stratified_split(dataset, config.validation_fraction, rng)
     train_docs = [dataset.documents[i] for i in train_idx]
-    val_docs = [dataset.documents[i] for i in val_idx]
+    val_set = dataset.subset(val_idx)
     train_ids = [vocab.indices(doc.tokens) for doc in train_docs]
-    val_ids = [vocab.indices(doc.tokens) for doc in val_docs]
+    val_ids = [vocab.indices(doc.tokens) for doc in val_set.documents]
 
     if config.loss_mode == "weighted":
         weights = weights_from_counts(LabeledDataset.from_documents(train_docs).class_counts)
@@ -380,11 +381,7 @@ def train(
                 backward(params, trace, doc.label, weight, out=batch_grads)
             params = sgd_step(params, batch_grads, config.learning_rate)
 
-        val_correct = 0
-        for doc, ids in zip(val_docs, val_ids):
-            trace = forward(params, _sentence_rows(table, ids, max_width))
-            val_correct += int(np.argmax(trace.probs)) == doc.label
-        val_acc = val_correct / len(val_docs)
+        val_acc = eval_result(val_set, score(params, table.vectors, val_ids)).accuracy
         elapsed_ms = (time.perf_counter() - started) * 1000.0
 
         history.append(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from emocnn import evaluation, network
 from emocnn.cli import main
 from emocnn.corpus import load_dataset_json
 from emocnn.embedding import embedding_digest, load_embeddings
@@ -221,7 +222,13 @@ class TestEvalCvCompare:
         assert code == 0
 
     def test_eval_refuses_a_stratum_size_below_one(self, tmp_path, prepared, embedded,
-                                                   trained, capsys):
+                                                   trained, capsys, monkeypatch):
+        scored = []  # documents per scoring call, through `predict` or `score`
+        monkeypatch.setattr(evaluation, "predict",
+                            lambda *args: scored.append(1) or network.predict(*args))
+        monkeypatch.setattr(evaluation, "score",
+                            lambda *args: scored.append(len(args[2])) or network.score(*args),
+                            raising=False)
         out = tmp_path / "eval"
         code = main(["eval", "--model", str(trained / "model.json"),
                      "--data", str(prepared), "--embeddings", str(embedded),
@@ -229,6 +236,18 @@ class TestEvalCvCompare:
         assert code == 2
         assert "per_stratum >= 1" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
+        assert sum(scored) == 0, "the strata are checked before any document is scored"
+
+    def test_eval_scores_each_document_once(self, tmp_path, prepared, embedded, trained,
+                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "score",
+                            lambda *args: calls.append(len(args[2])) or network.score(*args))
+        code = main(["eval", "--model", str(trained / "model.json"),
+                     "--data", str(prepared), "--embeddings", str(embedded),
+                     "--strata", "2", "--per-stratum", "5", "--out", str(tmp_path / "eval")])
+        assert code == 0
+        assert calls == [load_dataset_json(prepared).n]
 
     @pytest.mark.parametrize("fraction", ["0", "-0.5"])
     def test_compare_refuses_a_test_fraction_outside_0_1(self, tmp_path, prepared, embedded,

@@ -328,6 +328,18 @@ class TestDatasetJsonRoundTrip:
                 f"{path}: unsupported prepared dataset version {version!r}, expected 1")):
             load_dataset_json(path)
 
+    @pytest.mark.parametrize("field, value", [("tokens", [1, 2]), ("tokens", "ab"), ("tokens", []),
+                                              ("label", 1.7), ("label", True), ("label", 2)])
+    def test_mistyped_tokens_or_label_are_refused_naming_the_file(self, tmp_path, field, value):
+        path = tmp_path / "dataset.json"
+        save_dataset_json(synth_corpus(2, 8, 3, 1.0, seed=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["documents"][1][field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed prepared dataset")) as err:
+            load_dataset_json(path)
+        assert f"document 1: {field} must be" in str(err.value)
+
 
 def test_json_artifact_checks_the_version_before_the_block_runs(tmp_path):
     path = tmp_path / "a.json"

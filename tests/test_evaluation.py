@@ -19,7 +19,7 @@ from emocnn.evaluation import (
     strip_timing,
 )
 from emocnn.functions import Activation
-from emocnn.network import NetworkConfig, init_params, predict
+from emocnn.network import NetworkConfig, init_params, predict, score
 from emocnn.training import run_fold_cv, train, TrainConfig
 
 
@@ -130,7 +130,7 @@ class TestStratifiedSampleEval:
         dataset, embeddings, params = make_fixture(n_per_class=30)
         assert stratified_sample_eval(params, embeddings, dataset, 0, 5, seed=1) == []
 
-    def test_one_predict_per_document_and_same_rows(self, monkeypatch):
+    def test_each_document_scored_once_in_one_call_and_same_rows(self, monkeypatch):
         dataset, embeddings, params = make_fixture(n_per_class=60)
         vocab, table = embeddings
         expected = []
@@ -148,13 +148,18 @@ class TestStratifiedSampleEval:
 
         calls = []
 
-        def counting_predict(*args, **kwargs):
-            calls.append(1)
-            return predict(*args, **kwargs)
+        def recording_score(params, table, index_arrays):
+            calls.append(list(index_arrays))
+            return score(params, table, index_arrays)
 
-        monkeypatch.setattr(evaluation, "predict", counting_predict)
+        monkeypatch.setattr(evaluation, "score", recording_score)
         rows = stratified_sample_eval(params, embeddings, dataset, 3, 10, seed=4)
-        assert len(calls) == 2 * 3 * 10
+        sampled = [i for r in rows for i in r.doc_indices]
+        assert len(sampled) == len(set(sampled)) == 2 * 3 * 10
+        assert len(calls) == 1
+        assert len(calls[0]) == len(sampled)
+        for ids, i in zip(calls[0], sampled):
+            assert np.array_equal(ids, vocab.indices(dataset.documents[i].tokens))
         assert [r.to_dict() for r in rows] == expected
 
     def test_mean_true_class_prob_in_unit_interval(self):

@@ -153,6 +153,20 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([])
 
+    @pytest.mark.parametrize("classes", [1, 2, 5, 17])
+    def test_each_row_of_a_matrix_is_the_vector_call_bit_for_bit(self, classes):
+        logits = np.random.default_rng(classes).normal(scale=20, size=(40, classes))
+        rows = softmax(logits)
+        assert rows.shape == logits.shape
+        for row, v in zip(rows, logits):
+            assert np.array_equal(row, softmax(v))
+
+    def test_non_finite_row_rejected(self):
+        logits = np.zeros((3, 2))
+        logits[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            softmax(logits)
+
 
 class TestClassWeights:
     def test_balanced_counts_give_unit_weights(self):

@@ -452,6 +452,55 @@ class TestPredict:
         )
 
 
+class TestScore:
+    """The packed scorer against one `predict` per document."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(ACTIVATION_KINDS),
+        widths=st.sets(st.integers(1, 5), min_size=1, max_size=3),
+        maps=st.integers(1, 6),
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        pack_rows=st.sampled_from([1, 8, 30, network._PACK_ROWS]),
+        bias_shift=st.sampled_from([0.0, -0.5, -5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="mlrelu-continuous", widths={3, 4, 5}, maps=3, lengths=[2, 40, 1, 9, 30],
+             pack_rows=30, bias_shift=0.0, seed=0)
+    @example(kind="sigmoid", widths={1, 2}, maps=2, lengths=[40, 40], pack_rows=8,
+             bias_shift=-5.0, seed=1)
+    def test_matches_predict_per_document(self, kind, widths, maps, lengths, pack_rows,
+                                          bias_shift, seed):
+        rng = np.random.default_rng(seed)
+        config = NetworkConfig(filter_widths=tuple(sorted(widths)), maps_per_width=maps,
+                               embedding_dim=3, activation=Activation(kind), seed=seed)
+        params = init_params(config)
+        for w in config.filter_widths:
+            params.filter_biases[w][:] = rng.normal(scale=0.05, size=maps) + bias_shift
+        table = rng.normal(size=(6, 3))  # a small vocabulary: index 0, the unknown word, is common
+        docs = [rng.integers(0, 6, size=n) for n in lengths]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_PACK_ROWS", pack_rows)
+            got = network.score(params, table, docs)
+        assert got.shape == (len(docs), 2)
+        for ids, probs in zip(docs, got):
+            pad = np.zeros((max(0, config.max_width - len(ids)), 3))
+            want = predict(params, np.vstack([table[ids], pad]))[1]
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_non_finite_pre_activation_raises(self, kind):
+        params = init_params(tiny_config(activation=Activation(kind)))
+        table = np.ones((3, 3))
+        table[2, 1] = np.inf
+        assert network.score(params, table, [[0, 1], [1, 0, 1]]).shape == (2, 2)
+        with pytest.raises(ValueError):
+            network.score(params, table, [[0, 1], [1, 2, 1]])
+
+    def test_no_documents_give_no_rows(self):
+        assert network.score(init_params(tiny_config()), np.ones((3, 3)), []).shape == (0, 2)
+
+
 class TestLayout:
     def test_blocks_are_views_that_tile_the_vector_in_order(self):
         params = init_params(tiny_config(filter_widths=(2, 3), seed=4))
