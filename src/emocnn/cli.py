@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ASSERT = 3
+# The commands that write a manifest, and the flag values it records: what `rerun` replays.
+_RUN_COMMANDS = ("prepare", "embed", "train", "eval", "cv", "compare", "gradcheck")
+_MANIFEST_VALUE_TYPES = (str, int, float, bool, type(None))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +108,7 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Pat
         "args": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "command")
-            and isinstance(v, (str, int, float, bool, type(None)))
+            if k not in ("func", "command") and isinstance(v, _MANIFEST_VALUE_TYPES)
         },
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,6 +345,8 @@ def cmd_eval(args) -> int:
     vocab, table = load_embeddings(args.embeddings)
     params = load_model(args.model, embedding_ref=embedding_digest(vocab, table))
     draws = draw_strata(dataset, args.strata, args.per_stratum, args.seed)
+    if args.timing_samples < 1 or args.warmup < 0 or args.repeats < 1:
+        raise ValueError("need --timing-samples >= 1, --warmup >= 0 and --repeats >= 1")
     probs = score_dataset(params, (vocab, table), dataset)
     result = eval_result(dataset, probs)
     strata = strata_rows(dataset, draws, probs)
@@ -433,10 +437,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_rerun(args) -> int:
     src = Path(args.manifest)
     with json_artifact(src, "run manifest", 1) as payload:
-        flags = payload["args"]
+        command, flags = payload["command"], payload["args"]
+        if command not in _RUN_COMMANDS:
+            raise DataError(f"{src}: command must be one of {list(_RUN_COMMANDS)}, not {command!r}")
+        if not all(isinstance(v, _MANIFEST_VALUE_TYPES) for v in flags.values()):
+            raise DataError(f"{src}: args must be an object of strings, numbers, booleans and nulls")
         if args.out is not None:
             flags = {**flags, "out": args.out}
-        argv = [payload["command"], *_flags(flags)]
+        argv = [command, *_flags(flags)]
     print(f"replaying: {' '.join(argv)}")
     return main(argv)
 
@@ -470,7 +478,7 @@ def _shared_flag_groups() -> dict[str, _Parser]:
                    help="override the preset loss mode")
     g.add_argument("--widths", default=None, help="override filter widths, e.g. 3,4,5")
     g.add_argument("--maps", type=int, default=None, help="override feature maps per width")
-    g.add_argument("--seed", type=int, default=TrainConfig.seed)
+    g.add_argument("--seed", type=int, default=NetworkConfig.seed)
     g = groups["training"]
     g.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
     g.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
@@ -569,7 +577,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(expand_config_flags(list(argv)))
-        if args.command != "rerun":
+        if args.command in _RUN_COMMANDS:
             write_manifest(Path(args.out), args.command, args)
         return args.func(args)
     except SystemExit as exc:

@@ -42,8 +42,8 @@ def json_artifact(path: str | Path, what: str, version: int):
     """Yield the JSON object in the file at `path`, or raise `DataError` naming it.
 
     A missing file, bad JSON, a non-object, a `version` field other than
-    `version`, and a `KeyError`, `TypeError` or `AttributeError` inside the
-    block (a missing or mistyped field) all fail.
+    `version`, and a `KeyError`, `TypeError`, `AttributeError` (a missing or
+    mistyped field) or `ValueError` (a refused value) inside the block fail.
     """
     src = Path(path)
     if not src.is_file():
@@ -61,6 +61,8 @@ def json_artifact(path: str | Path, what: str, version: int):
         yield payload
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{src}: malformed {what}, missing or mistyped field: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{src}: invalid {what}: {exc}") from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -233,6 +235,8 @@ def load_imdb_csv(
     review dump.
     """
     src = Path(path)
+    if limit_per_class and min(limit_per_class.values()) < 0:
+        raise ValueError(f"class caps must be >= 0, got {min(limit_per_class.values())}")
     if not src.is_file():
         raise DataError(f"CSV file not found: {src}")
     documents: list[Document] = []

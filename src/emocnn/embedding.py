@@ -23,6 +23,7 @@ import numpy as np
 from .corpus import (DataError, LabeledDataset, UNK_TOKEN, decode_floats, encode_floats,
                      json_artifact, write_atomic)
 from .functions import LOG_EPS, _stable_sigmoid
+from .network import sentence_rows
 
 EMBEDDING_SCHEMA_VERSION = 2
 DEFAULT_MIN_COUNT = 1
@@ -40,10 +41,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.index_to_word)
-
-    def index(self, word: str) -> int:
-        """Dense index of `word`, or 0 (the unknown-word slot) if absent."""
-        return self.word_to_index.get(word, 0)
 
     def indices(self, tokens) -> np.ndarray:
         """Dense index of each of `tokens` (a sized sequence), 0 if absent."""
@@ -234,16 +231,7 @@ def embed_lookup(
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot embed an empty token list")
-    return _sentence_rows(table, vocab.indices(tokens), min_rows)
-
-
-def _sentence_rows(table: EmbeddingTable, indices: np.ndarray, min_rows: int) -> np.ndarray:
-    """The rows of `indices`, zero-padded to `min_rows` (see `embed_lookup`)."""
-    matrix = table.vectors[indices]
-    if len(indices) < min_rows:
-        pad = np.zeros((min_rows - len(indices), table.dim))
-        matrix = np.vstack([matrix, pad])
-    return matrix
+    return sentence_rows(table.vectors, vocab.indices(tokens), min_rows)
 
 
 def embedding_digest(vocab: Vocabulary, table: EmbeddingTable) -> str:

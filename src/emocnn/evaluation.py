@@ -283,8 +283,8 @@ def measure_inference_time(
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample to time")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if repeats < 1 or warmup < 0:
+        raise ValueError(f"need repeats >= 1 and warmup >= 0, got {repeats} and {warmup}")
     vocab, table = embeddings
     max_width = params.config.max_width
     matrices = [embed_lookup(vocab, table, doc.tokens, min_rows=max_width) for doc in samples]

@@ -44,7 +44,7 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind: {self.kind!r}")
-        if not (self.a > 0):
+        if isinstance(self.a, bool) or not (self.a > 0):
             raise ValueError(f"activation parameter a must be > 0, got {self.a}")
 
     @property

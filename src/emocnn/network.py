@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +53,13 @@ class NetworkConfig:
     def __post_init__(self):
         widths = tuple(self.filter_widths)
         object.__setattr__(self, "filter_widths", widths)
-        if not widths or any(w < 1 for w in widths) or len(set(widths)) != len(widths):
-            raise ValueError("filter widths must be positive and distinct")
-        if self.maps_per_width < 1:
-            raise ValueError("maps_per_width must be >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if not (0.0 <= self.dropout_rate < 1.0):
+        if not widths or any(type(w) is not int or w < 1 for w in widths) or len(set(widths)) != len(widths):
+            raise ValueError(f"filter widths must be positive, distinct ints, not {widths!r}")
+        for name, least in (("maps_per_width", 1), ("embedding_dim", 1), ("num_classes", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # refuses bools and floats such as 4.7
+                raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
+        if isinstance(self.dropout_rate, bool) or not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
 
     @property
@@ -300,6 +298,15 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     return ModelParams(params.config, params.vector - learning_rate * grads.vector)
 
 
+def sentence_rows(vectors: np.ndarray, indices: np.ndarray, min_rows: int) -> np.ndarray:
+    """The sentence matrix of word `indices`: their rows of `vectors`, then zero
+    rows up to `min_rows` (`max_width`, so that every filter has a window)."""
+    matrix = vectors[indices]
+    if len(indices) < min_rows:
+        matrix = np.concatenate([matrix, np.zeros((min_rows - len(indices), vectors.shape[1]))])
+    return matrix
+
+
 def predict(params: ModelParams, sentence: np.ndarray) -> tuple[int, np.ndarray]:
     """Evaluation-mode class decision; ties go to the smaller class index."""
     trace = forward(params, sentence)
@@ -309,30 +316,26 @@ def predict(params: ModelParams, sentence: np.ndarray) -> tuple[int, np.ndarray]
 def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
     """Evaluation-mode probabilities (n, classes) of documents given as word indices.
 
-    `table` holds one word vector per row. Consecutive documents, each
-    zero-padded to `max_width` rows as `predict` pads them, are packed end
-    to end into sentence matrices of up to `_PACK_ROWS` rows (a longer
-    document forms a pack alone). Each bank is one `_conv_pre_activations`
-    per pack, and `np.maximum.reduceat` pools each document over its own
-    window starts, before activating for the (monotone) `_POOL_FIRST_KINDS`.
-    A non-finite pre-activation raises `ValueError`, as in `forward`.
+    `table` holds one word vector per row. Consecutive documents' padded
+    `sentence_rows`, as `predict` gets them, are packed end to end into
+    sentence matrices of up to `_PACK_ROWS` rows (a longer document forms a
+    pack alone). Each bank is one `_conv_pre_activations` per pack, and
+    `np.maximum.reduceat` pools each document over its own window starts,
+    before activating for the (monotone) `_POOL_FIRST_KINDS`. A non-finite
+    pre-activation raises `ValueError`, as in `forward`.
     """
     config, act, m = params.config, params.config.activation, params.config.maps_per_width
     pool_first = act.kind in _POOL_FIRST_KINDS
-    lengths = [len(ids) for ids in index_arrays]
-    rows = [max(n, config.max_width) for n in lengths]
-    pooled = np.empty((len(lengths), config.total_maps))
+    rows = [max(len(ids), config.max_width) for ids in index_arrays]
+    pooled = np.empty((len(rows), config.total_maps))
     first = 0
-    while first < len(lengths):
+    while first < len(rows):
         last, total = first + 1, rows[first]
-        while last < len(lengths) and total + rows[last] <= _PACK_ROWS:
+        while last < len(rows) and total + rows[last] <= _PACK_ROWS:
             total, last = total + rows[last], last + 1
         starts = np.cumsum([0, *rows[first:last]])
-        ids = np.concatenate(index_arrays[first:last]).astype(np.intp, copy=False)
-        # A token's row: its document's start plus its place in the document.
-        shift = np.repeat(starts[:-1] - np.cumsum([0, *lengths[first : last - 1]]), lengths[first:last])
-        sentence = np.zeros((total, config.embedding_dim))
-        sentence[np.arange(ids.size) + shift] = table[ids]
+        sentence = np.concatenate([sentence_rows(table, ids, config.max_width)
+                                   for ids in index_arrays[first:last]])
         for i, w in enumerate(config.filter_widths):
             pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
             if pool_first and not np.isfinite(pre).all():
@@ -354,19 +357,6 @@ def params_digest(params: ModelParams) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(block).tobytes())
     return h.hexdigest()[:16]
-
-
-def config_from_dict(payload: dict) -> NetworkConfig:
-    act = payload["activation"]
-    return NetworkConfig(
-        filter_widths=tuple(payload["filter_widths"]),
-        maps_per_width=int(payload["maps_per_width"]),
-        embedding_dim=int(payload["embedding_dim"]),
-        num_classes=int(payload["num_classes"]),
-        dropout_rate=float(payload["dropout_rate"]),
-        activation=Activation(act["kind"], float(act["a"])),
-        seed=int(payload["seed"]),
-    )
 
 
 def save_model(path: str | Path, params: ModelParams, embedding_ref: str = "") -> None:
@@ -399,5 +389,10 @@ def load_model(path: str | Path, embedding_ref: str | None = None) -> ModelParam
                 f"{src}: model was trained with embeddings {stored_ref!r}, "
                 f"but the given table has digest {embedding_ref!r}"
             )
-        config = config_from_dict(payload["config"])
+        config, act = payload["config"], payload["config"]["activation"]
+        for cls, stored in ((NetworkConfig, config), (Activation, act)):
+            names = sorted(f.name for f in fields(cls))
+            if sorted(stored) != names:
+                raise DataError(f"{src}: {cls.__name__} fields must be {names}, got {sorted(stored)}")
+        config = NetworkConfig(**{**config, "activation": Activation(**act)})
         return ModelParams(config, decode_floats(payload["params"], _param_count(config), src, "params"))

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .corpus import LabeledDataset, kfold_split, shuffled_classes
-from .embedding import EmbeddingTable, Vocabulary, _sentence_rows
+from .embedding import EmbeddingTable, Vocabulary
 from .evaluation import EvalResult, _fmt, eval_result, evaluate
 from .functions import Activation, cross_entropy, weights_from_counts
 from .network import (
@@ -33,6 +33,7 @@ from .network import (
     init_params,
     params_digest,
     score,
+    sentence_rows,
     sgd_step,
 )
 
@@ -50,7 +51,6 @@ class TrainConfig:
     convergence_epsilon: float = 0.001
     convergence_patience: int = 3
     validation_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if self.loss_mode not in LOSS_MODES:
@@ -331,6 +331,7 @@ def train(
     then scores the validation split in one `score` pass. Training stops at
     `max_epochs` or once the convergence rule triggers. Documents are
     indexed once per call; a batch adds its gradients into one vector.
+    `config.network.seed` seeds the split, shuffles, dropout and init.
     """
     if dataset.k < 2:
         raise ValueError("training needs at least two classes in the dataset")
@@ -340,7 +341,7 @@ def train(
         raise ValueError(
             f"network expects embedding_dim={net.embedding_dim}, table has {table.dim}"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(net.seed)
     train_idx, val_idx = _stratified_split(dataset, config.validation_fraction, rng)
     train_docs = [dataset.documents[i] for i in train_idx]
     val_set = dataset.subset(val_idx)
@@ -368,7 +369,7 @@ def train(
             batch_grads = params.zeros_like()
             for i in batch:
                 doc = train_docs[i]
-                trace = forward(params, _sentence_rows(table, train_ids[i], max_width), rng=rng)
+                trace = forward(params, sentence_rows(table.vectors, train_ids[i], max_width), rng=rng)
                 weight = weights[doc.label]
                 loss = cross_entropy(trace.probs, doc.label, weight)
                 if not np.isfinite(loss):
@@ -402,7 +403,7 @@ def train(
             break
 
     report = TrainReport(
-        seed=config.seed,
+        seed=net.seed,
         epochs=history,
         convergence_epoch=best_epoch,
         best_validation_accuracy=float(max(e.val_acc for e in history)),
@@ -420,8 +421,8 @@ def _fold_seeds(seed: int, k_folds: int) -> list[int]:
 
 
 def _pin_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    """`config` with its run seed and its network's init seed both set to `seed`."""
-    return replace(config, seed=seed, network=replace(config.network, seed=seed))
+    """`config` with its run seed, `config.network.seed`, set to `seed`."""
+    return replace(config, network=replace(config.network, seed=seed))
 
 
 def run_fold_cv(
@@ -570,7 +571,7 @@ PRESETS = {
 def preset_config(name: str, embedding_dim: int, seed: int = 0, **overrides) -> TrainConfig:
     """Materialize a named preset into a TrainConfig.
 
-    `seed` seeds both the run and the network's initialization. Keyword
+    `seed` is the network's seed, the one seed of the run (see `train`). Keyword
     overrides may be a preset field (`activation`, `loss_mode`,
     `filter_widths`, `maps_per_width`), `dropout_rate`, or any other
     `TrainConfig` field (`learning_rate`, `batch_size`, `max_epochs`,
@@ -581,7 +582,7 @@ def preset_config(name: str, embedding_dim: int, seed: int = 0, **overrides) -> 
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     network_keys = ("activation", "filter_widths", "maps_per_width", "dropout_rate")
-    allowed = {f.name for f in fields(TrainConfig)} - {"network", "seed"}
+    allowed = {f.name for f in fields(TrainConfig)} - {"network"}
     unknown = set(overrides) - allowed - set(network_keys)
     if unknown:
         raise ValueError(f"unknown preset overrides: {sorted(unknown)}")
@@ -591,4 +592,4 @@ def preset_config(name: str, embedding_dim: int, seed: int = 0, **overrides) -> 
         seed=seed,
         **{key: settings.pop(key) for key in network_keys if key in settings},
     )
-    return TrainConfig(network=network, seed=seed, **settings)
+    return TrainConfig(network=network, **settings)

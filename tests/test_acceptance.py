@@ -98,7 +98,7 @@ def test_criterion_3_balanced_reduction():
                                                   epochs=1, seed=11))
     network = NetworkConfig(filter_widths=(2, 3), maps_per_width=4, embedding_dim=8,
                             dropout_rate=0.2, activation=Activation("mlrelu-continuous"), seed=5)
-    base = dict(network=network, learning_rate=0.05, batch_size=8, max_epochs=4, seed=5)
+    base = dict(network=network, learning_rate=0.05, batch_size=8, max_epochs=4)
     _, weighted = train(dataset, (vocab, table), TrainConfig(loss_mode="weighted", **base))
     _, unweighted = train(dataset, (vocab, table), TrainConfig(loss_mode="unweighted", **base))
     gaps = [
@@ -153,7 +153,7 @@ def test_criterion_5_imbalance_remediation():
                                     embedding_dim=10, dropout_rate=0.4,
                                     activation=Activation("mlrelu-continuous"), seed=seed)
             config = TrainConfig(network=network, loss_mode=mode, learning_rate=0.005,
-                                 batch_size=10, max_epochs=2, seed=seed)
+                                 batch_size=10, max_epochs=2)
             params, _ = train(train_ds, (vocab, table), config)
             minority[mode] = evaluate(params, (vocab, table), test_ds).per_class_accuracy[1]
         wins += minority["weighted"] > minority["unweighted"]

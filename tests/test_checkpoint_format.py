@@ -7,6 +7,7 @@ Both checkpoints (the embedding table and the model) are refused with a
 import base64
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,3 +181,34 @@ def test_a_dim_that_is_not_a_positive_int_is_refused(tmp_path):
         rewrite(path, dim=dim, vectors="")
         with pytest.raises(DataError, match=re.escape(f"{path}: dim must be a positive integer")):
             load_embeddings(path)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("config", "maps_per_width", 4.7),
+    ("config", "maps_per_width", 0),
+    ("config", "seed", 1.9),
+    ("config", "dropout_rate", "0.4"),
+    ("activation", "a", "0.03"),
+    ("activation", "a", True),
+    ("config", "seed", MISSING),
+    ("config", "momentum", 0.9),
+    ("activation", "a", MISSING),
+    ("activation", "slope", 0.03),
+], ids=["maps-4.7", "maps-0", "seed-1.9", "dropout-str", "a-str", "a-bool",
+        "config-missing-key", "config-extra-key", "activation-missing-key", "activation-extra-key"])
+def test_a_stored_config_is_checked_field_by_field(tmp_path, where, key, value):
+    # A model of 4 maps, so that a loader coercing 4.7 to 4 would find the stored parameters.
+    path = tmp_path / "model.json"
+    save_model(path, init_params(replace(small_config(), maps_per_width=4)))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    stored = payload["config"] if where == "config" else payload["config"]["activation"]
+    if value is MISSING:
+        del stored[key]
+    else:
+        stored[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_model(path)

@@ -74,6 +74,29 @@ class TestPrepare:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["prepare", "--format", "synth", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("caps, counts", [
+        (["--limit-pos", "1"], {0: 3, 1: 1}),
+        (["--limit-neg", "0", "--limit-pos", "2"], {1: 2}),
+        (["--limit-pos", "2", "--limit-neg", "1"], {0: 1, 1: 2}),
+    ], ids=["pos-only", "neg-zero", "both"])
+    def test_imdb_class_caps(self, tmp_path, caps, counts):
+        csv_path = tmp_path / "reviews.csv"
+        csv_path.write_text("review,sentiment\n" + "good film,positive\nbad film,negative\n" * 3)
+        out = tmp_path / "data"
+        assert main(["prepare", "--format", "imdb", "--path", str(csv_path), *caps,
+                     "--out", str(out)]) == 0
+        assert load_dataset_json(out / "dataset.json").class_counts == counts
+
+    @pytest.mark.parametrize("caps", [["--limit-pos", "-3"], ["--limit-pos", "2", "--limit-neg", "-1"]])
+    def test_a_negative_class_cap_is_a_data_error(self, tmp_path, capsys, caps):
+        csv_path = tmp_path / "reviews.csv"
+        csv_path.write_text("review,sentiment\ngood film,positive\nbad film,negative\n")
+        out = tmp_path / "data"
+        assert main(["prepare", "--format", "imdb", "--path", str(csv_path), *caps,
+                     "--out", str(out)]) == 2
+        assert "class caps must be >= 0" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
     def test_imbalanced_spec(self, tmp_path):
         out = tmp_path / "data"
         code = main(["prepare", "--format", "synth",
@@ -238,6 +261,22 @@ class TestEvalCvCompare:
         assert not (out / "eval_report.json").exists()
         assert sum(scored) == 0, "the strata are checked before any document is scored"
 
+    @pytest.mark.parametrize("flags", [["--warmup", "-1"], ["--timing-samples", "-5"],
+                                       ["--timing-samples", "0"], ["--repeats", "0"]])
+    def test_eval_checks_its_timing_flags_before_scoring(self, tmp_path, prepared, embedded,
+                                                         trained, capsys, monkeypatch, flags):
+        scored = []
+        monkeypatch.setattr(evaluation, "score",
+                            lambda *args: scored.append(len(args[2])) or network.score(*args))
+        out = tmp_path / "eval"
+        code = main(["eval", "--model", str(trained / "model.json"), "--data", str(prepared),
+                     "--embeddings", str(embedded), "--strata", "1", "--per-stratum", "5",
+                     *flags, "--out", str(out)])
+        assert code == 2
+        assert "need --timing-samples >= 1, --warmup >= 0 and --repeats >= 1" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+        assert scored == []
+
     def test_eval_scores_each_document_once(self, tmp_path, prepared, embedded, trained,
                                             monkeypatch):
         calls = []
@@ -339,3 +378,17 @@ class TestRerun:
 
     def test_missing_manifest(self, tmp_path):
         assert main(["rerun", str(tmp_path / "ghost.json")]) == 2
+
+    @pytest.mark.parametrize("command, args, message", [
+        (5, {}, "command must be one of"),
+        ("rerun", {"manifest": "MANIFEST"}, "command must be one of"),
+        ("prepare", {"format": "synth", "spec": {"n": 8}}, "args must be an object of strings"),
+    ], ids=["command-not-a-string", "command-rerun", "args-value-an-object"])
+    def test_a_malformed_manifest_is_a_data_error(self, tmp_path, capsys, command, args, message):
+        manifest, out = tmp_path / "manifest.json", tmp_path / "out"
+        args = {k: str(manifest) if v == "MANIFEST" else v for k, v in args.items()}
+        manifest.write_text(json.dumps({"version": 1, "command": command,
+                                        "args": {**args, "out": str(out)}}))
+        assert main(["rerun", str(manifest)]) == 2
+        assert f"{manifest}: {message}" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from emocnn.cli import (
+    _RUN_COMMANDS,
     _flags,
     _load_config_file,
     build_parser,
@@ -183,7 +184,7 @@ SUBCOMMAND_FLAGS = {
 def test_each_subcommand_keeps_its_flags():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+    assert set(sub.choices) == set(SUBCOMMAND_FLAGS) == {*_RUN_COMMANDS, "rerun"}
     for name, subparser in sub.choices.items():
         flags = {o for a in subparser._actions for o in a.option_strings} - {"-h", "--help"}
         assert flags == SUBCOMMAND_FLAGS[name], name

@@ -29,8 +29,8 @@ class TestBuildVocab:
     def test_min_count_filters_into_unk(self):
         vocab = build_vocab(dataset_from_texts(["a a b"]), min_count=2)
         assert len(vocab) == 2
-        assert vocab.index("a") == 1
-        assert vocab.index("b") == 0  # below threshold -> unknown slot
+        assert vocab.word_to_index.get("a", 0) == 1
+        assert vocab.word_to_index.get("b", 0) == 0  # below threshold -> unknown slot
 
     def test_counts_every_word_when_min_count_one(self):
         vocab = build_vocab(dataset_from_texts(["x y"]), min_count=1)
@@ -38,13 +38,13 @@ class TestBuildVocab:
 
     def test_count_ties_break_lexicographically(self):
         vocab = build_vocab(dataset_from_texts(["b a b a"]), min_count=1)
-        assert vocab.index("a") < vocab.index("b")
+        assert vocab.word_to_index.get("a", 0) < vocab.word_to_index.get("b", 0)
 
     def test_ordered_by_descending_count(self):
         vocab = build_vocab(dataset_from_texts(["z z z y y x"]), min_count=1)
-        assert vocab.index("z") == 1
-        assert vocab.index("y") == 2
-        assert vocab.index("x") == 3
+        assert vocab.word_to_index.get("z", 0) == 1
+        assert vocab.word_to_index.get("y", 0) == 2
+        assert vocab.word_to_index.get("x", 0) == 3
 
     def test_round_trip_indices(self):
         vocab = build_vocab(dataset_from_texts(["red green blue red"]), min_count=1)
@@ -68,7 +68,7 @@ class TestBuildVocab:
         vocab = build_vocab(dataset, min_count=300)
         tokens = [t for doc in dataset.documents for t in doc.tokens] + ["zebra", "<unk>"]
         got = vocab.indices(tokens)
-        want = np.array([vocab.index(t) for t in tokens], dtype=np.int64)
+        want = np.array([vocab.word_to_index.get(t, 0) for t in tokens], dtype=np.int64)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         assert 0 < np.count_nonzero(got == 0) < len(tokens)
@@ -134,8 +134,8 @@ class TestTrainCbow:
         def mean_cosine(pairs):
             sims = []
             for w1, w2 in pairs:
-                v1 = table.vectors[vocab.index(w1)]
-                v2 = table.vectors[vocab.index(w2)]
+                v1 = table.vectors[vocab.word_to_index.get(w1, 0)]
+                v2 = table.vectors[vocab.word_to_index.get(w2, 0)]
                 sims.append(v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
             return float(np.mean(sims))
 
@@ -179,7 +179,8 @@ class TestEmbedLookup:
     def test_rows_match_tokens(self):
         m = embed_lookup(self.vocab, self.table, ["one", "two", "three"], min_rows=3)
         assert m.shape == (3, 2)
-        np.testing.assert_array_equal(m[0], self.table.vectors[self.vocab.index("one")])
+        np.testing.assert_array_equal(m[0],
+                                      self.table.vectors[self.vocab.word_to_index.get("one", 0)])
 
     def test_short_sentence_padded_with_zero_rows(self):
         m = embed_lookup(self.vocab, self.table, ["one", "two"], min_rows=5)

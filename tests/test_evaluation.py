@@ -80,7 +80,7 @@ class TestEvaluate:
         config = NetworkConfig(filter_widths=(2, 3), maps_per_width=4, embedding_dim=8,
                                dropout_rate=0.2, activation=Activation("mlrelu-continuous"), seed=2)
         train_config = TrainConfig(network=config, learning_rate=0.05, batch_size=8,
-                                   max_epochs=30, convergence_patience=8, seed=2)
+                                   max_epochs=30, convergence_patience=8)
         params, _ = train(dataset, embeddings, train_config)
         result = evaluate(params, embeddings, dataset)
         assert result.accuracy == 1.0, "separable fixture should be fully learnable"
@@ -227,7 +227,7 @@ class TestEmitReport:
         config = NetworkConfig(filter_widths=(2,), maps_per_width=2, embedding_dim=6,
                                dropout_rate=0.0, activation=Activation("mlrelu-continuous"), seed=0)
         train_config = TrainConfig(network=config, learning_rate=0.05, batch_size=8,
-                                   max_epochs=2, seed=0)
+                                   max_epochs=2)
         return run_fold_cv(dataset, embeddings, train_config, k_folds=3, seed=5,
                            preset="unit", dataset_name="synth")
 

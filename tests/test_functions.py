@@ -79,6 +79,8 @@ class TestActivationValues:
             Activation("swish")
         with pytest.raises(ValueError):
             Activation("drelu", a=0.0)
+        with pytest.raises(ValueError):
+            Activation("drelu", a=True)
 
 
 class TestActivationGradients:

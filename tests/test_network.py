@@ -117,6 +117,16 @@ class TestInitParams:
             NetworkConfig(filter_widths=(3,), maps_per_width=1, embedding_dim=4,
                           dropout_rate=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("filter_widths", (3.0,)), ("filter_widths", (True, 2)), ("maps_per_width", 4.7),
+        ("maps_per_width", True), ("embedding_dim", 4.0), ("num_classes", 2.0),
+        ("seed", 1.9), ("seed", False), ("dropout_rate", False),
+    ])
+    def test_config_refuses_a_field_of_another_type(self, name, value):
+        base = dict(filter_widths=(3,), maps_per_width=1, embedding_dim=4)
+        with pytest.raises(ValueError, match=name.replace("_", "[_ ]")):
+            NetworkConfig(**{**base, name: value})
+
 
 def single_filter_params(filt, bias, activation):
     """A network with one w x d filter and its bias, dropout off."""

@@ -41,7 +41,6 @@ def small_config(dim=8, seed=0, **overrides):
         convergence_epsilon=0.001,
         convergence_patience=3,
         validation_fraction=0.2,
-        seed=seed,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -117,6 +116,7 @@ class TestTrain:
         config = small_config(max_epochs=3, seed=9)
         params1, report1 = train(dataset, embeddings, config)
         params2, report2 = train(dataset, embeddings, config)
+        assert report1.seed == config.network.seed == 9  # the network seed is the run's one seed
         assert params_digest(params1) == params_digest(params2)
         assert json.dumps(strip_timing(report1.to_dict())) == json.dumps(
             strip_timing(report2.to_dict())
