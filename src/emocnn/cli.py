@@ -185,15 +185,29 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise DataError(f"cannot parse {what} from {text!r}") from exc
 
 
+# `prepare --spec` keys: (type, default). neg= and pos= replace n= for uneven classes.
+_SYNTH_SPEC = {"n": (int, 200), "neg": (int, 200), "pos": (int, 100), "vocab": (int, 50),
+               "len": (int, 30), "signal": (float, 1.0), "seed": (int, 7)}
+# The `prepare` flags that each format never reads.
+_UNREAD_PREPARE_FLAGS = {"polarity": ("spec", "limit_pos", "limit_neg"), "imdb": ("spec",),
+                         "synth": ("path", "limit_pos", "limit_neg")}
+
+
 def _parse_synth_spec(text: str) -> dict:
+    """The typed key=value pairs given in `--spec`; an unknown or repeated key
+    and n= given together with neg= or pos= are refused."""
     spec = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
+    for part in filter(None, text.split(",")):
+        key, _, value = (half.strip() for half in part.partition("="))
         if not value:
             raise DataError(f"synthetic corpus spec needs key=value pairs, got {part!r}")
-        spec[key.strip()] = value.strip()
+        if key not in _SYNTH_SPEC or key in spec:
+            problem = "repeated" if key in spec else "unknown"
+            raise DataError(f"synthetic corpus spec key {key!r} is {problem}; "
+                            f"keys are {', '.join(_SYNTH_SPEC)}, each at most once")
+        spec[key] = _SYNTH_SPEC[key][0](value)
+    if "n" in spec and ("neg" in spec or "pos" in spec):
+        raise DataError("synthetic corpus spec takes n= or neg=/pos=, not both")
     return spec
 
 
@@ -248,35 +262,25 @@ def _write_results(args, reports, name: str, payload: dict, failure: str = "") -
 
 def cmd_prepare(args) -> int:
     out = Path(args.out)
+    unread = [name for name in _UNREAD_PREPARE_FLAGS[args.format] if getattr(args, name) is not None]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise DataError(f"--format {args.format} does not read {flags}")
     if args.format != "synth" and not args.path:
         raise DataError(f"--path is required for --format {args.format}")
     if args.format == "polarity":
         dataset = load_polarity_dir(args.path)
     elif args.format == "imdb":
-        limits = None
-        if args.limit_pos is not None or args.limit_neg is not None:
-            # an unspecified side stays uncapped
-            limits = {
-                1: args.limit_pos if args.limit_pos is not None else sys.maxsize,
-                0: args.limit_neg if args.limit_neg is not None else sys.maxsize,
-            }
-        dataset = load_imdb_csv(args.path, limit_per_class=limits)
+        dataset = load_imdb_csv(args.path, limit_pos=args.limit_pos, limit_neg=args.limit_neg)
     else:  # synth
-        spec = _parse_synth_spec(args.spec or "")
-        common = dict(
-            vocab_size=int(spec.get("vocab", 50)),
-            doc_len=int(spec.get("len", 30)),
-            signal_strength=float(spec.get("signal", 1.0)),
-            seed=int(spec.get("seed", 7)),
-        )
-        if "neg" in spec or "pos" in spec:
-            dataset = imbalanced_synth_corpus(
-                n_negative=int(spec.get("neg", 200)),
-                n_positive=int(spec.get("pos", 100)),
-                **common,
-            )
+        given = _parse_synth_spec(args.spec or "")
+        spec = {key: given.get(key, default) for key, (_, default) in _SYNTH_SPEC.items()}
+        common = dict(vocab_size=spec["vocab"], doc_len=spec["len"],
+                      signal_strength=spec["signal"], seed=spec["seed"])
+        if "neg" in given or "pos" in given:
+            dataset = imbalanced_synth_corpus(n_negative=spec["neg"], n_positive=spec["pos"], **common)
         else:
-            dataset = synth_corpus(n_per_class=int(spec.get("n", 200)), **common)
+            dataset = synth_corpus(n_per_class=spec["n"], **common)
 
     save_dataset_json(dataset, out / "dataset.json")
     stats = length_stats(dataset)

@@ -223,20 +223,21 @@ _SENTIMENT_LABELS = {"positive": 1, "negative": 0}
 
 def load_imdb_csv(
     path: str | Path,
-    limit_per_class: dict[int, int] | None = None,
+    limit_pos: int | None = None,
+    limit_neg: int | None = None,
 ) -> LabeledDataset:
     """Load a ``review,sentiment`` CSV, optionally capping rows per class.
 
-    With `limit_per_class` (label -> cap) the first `cap` usable rows of each
-    class in file order are kept (rows dropped for having no tokens do not
-    count against the cap); remaining rows of that class are skipped, and a
-    class absent from the mapping is excluded entirely. This is how
-    fixed-size balanced or imbalanced subsets are carved out of a larger
-    review dump.
+    With a cap, the first `limit_pos` positive (`limit_neg` negative) usable
+    rows in file order are kept (rows dropped for having no tokens do not
+    count against the cap) and the class's later rows are skipped; a class
+    without a cap is kept whole. This is how fixed-size balanced or
+    imbalanced subsets are carved out of a larger review dump.
     """
     src = Path(path)
-    if limit_per_class and min(limit_per_class.values()) < 0:
-        raise ValueError(f"class caps must be >= 0, got {min(limit_per_class.values())}")
+    caps = {label: cap for label, cap in ((1, limit_pos), (0, limit_neg)) if cap is not None}
+    if caps and min(caps.values()) < 0:
+        raise ValueError(f"class caps must be >= 0, got {min(caps.values())}")
     if not src.is_file():
         raise DataError(f"CSV file not found: {src}")
     documents: list[Document] = []
@@ -256,9 +257,8 @@ def load_imdb_csv(
             if sentiment not in _SENTIMENT_LABELS:
                 raise DataError(f"{src}: unknown sentiment {sentiment!r} at row {row_num}")
             label = _SENTIMENT_LABELS[sentiment]
-            if limit_per_class is not None:
-                if taken[label] >= limit_per_class.get(label, 0):
-                    continue
+            if taken[label] >= caps.get(label, float("inf")):
+                continue
             doc = _document_from_text(review, label, source_id=f"{src.name}:{row_num}")
             if doc is not None:
                 documents.append(doc)
@@ -350,22 +350,12 @@ def imbalanced_synth_corpus(
     signal_strength: float,
     seed: int,
 ) -> LabeledDataset:
-    """`synth_corpus` variant with uneven class sizes (e.g. a 2:1 skew)."""
-    balanced = synth_corpus(
-        n_per_class=max(n_negative, n_positive),
-        vocab_size=vocab_size,
-        doc_len=doc_len,
-        signal_strength=signal_strength,
-        seed=seed,
-    )
-    keep = []
-    seen = {0: 0, 1: 0}
-    caps = {0: n_negative, 1: n_positive}
-    for i, doc in enumerate(balanced.documents):
-        if seen[doc.label] < caps[doc.label]:
-            seen[doc.label] += 1
-            keep.append(i)
-    return balanced.subset(keep)
+    """`synth_corpus` variant with uneven class sizes (e.g. a 2:1 skew): the
+    first documents of each class of the balanced corpus of the larger size."""
+    n = max(n_negative, n_positive)
+    balanced = synth_corpus(n_per_class=n, vocab_size=vocab_size, doc_len=doc_len,
+                            signal_strength=signal_strength, seed=seed)
+    return balanced.subset([*range(n_negative), *range(n, n + n_positive)])
 
 
 def save_dataset_json(dataset: LabeledDataset, path: str | Path) -> None:

@@ -1,7 +1,7 @@
 """Metrics, inference timing, the gradient-check harness, and report files.
 
 `evaluate` and the stratified rows score a document set in one packed
-`network.score` call; `measure_inference_time` times `predict` per review.
+`network.score` call; `measure_inference_time` times `predict`, a `score` row.
 
 Three artifacts are written by `emit_report` into the output directory:
 

@@ -1,19 +1,13 @@
 """Scalar nonlinearities, softmax, and the (optionally class-weighted) cross-entropy.
 
-Five activation kinds are supported:
-
-    sigmoid             1 / (1 + e^-x)
-    lrelu               x if x > 0      else 0.01 * x
-    drelu               x if x > -a     else -a
-    mlrelu-literal      x if x > -a     else -a * x
-    mlrelu-continuous   x if x > -a     else a * (x + a) - a
-
-`mlrelu-literal` has a negative left-branch slope and a jump at x = -a;
-`mlrelu-continuous` keeps slope a on the left and is continuous at the
-inflection point. Both are selectable as `Activation(kind, a)`; training
-defaults to the continuous form. All functions accept scalars or numpy
-arrays. `weights_from_counts` gives the class weights W(c) = n / (k * count(c))
-as a label -> weight dict.
+Five activation kinds are supported, each `Activation(kind, a)`: `sigmoid`,
+1 / (1 + e^-x), and four piecewise kinds that are x right of a boundary (0
+for `lrelu`, -a otherwise) and follow their left branch in `_PIECEWISE`
+elsewhere. `mlrelu-literal` (-a * x) has a negative left-branch slope and a
+jump at x = -a; `mlrelu-continuous` keeps slope a on the left and is
+continuous at the inflection point, and training defaults to it. All
+functions accept scalars or numpy arrays. `weights_from_counts` gives the
+class weights W(c) = n / (k * count(c)) as a label -> weight dict.
 """
 
 from __future__ import annotations
@@ -25,13 +19,14 @@ import numpy as np
 
 LOG_EPS = 1e-12
 
-ACTIVATION_KINDS = (
-    "sigmoid",
-    "lrelu",
-    "drelu",
-    "mlrelu-literal",
-    "mlrelu-continuous",
-)
+# Each piecewise kind, for parameter a: (boundary, left branch at x, its slope).
+_PIECEWISE = {
+    "lrelu":             lambda a: (0.0, lambda x: 0.01 * x, 0.01),
+    "drelu":             lambda a: (-a, lambda x: -a, 0.0),
+    "mlrelu-literal":    lambda a: (-a, lambda x: -a * x, -a),
+    "mlrelu-continuous": lambda a: (-a, lambda x: a * (x + a) - a, a),
+}
+ACTIVATION_KINDS = ("sigmoid", *_PIECEWISE)
 
 
 @dataclass(frozen=True)
@@ -50,11 +45,17 @@ class Activation:
     @property
     def boundary(self) -> float | None:
         """Input value where the branch switches, or None for sigmoid."""
+        return None if self.kind == "sigmoid" else _PIECEWISE[self.kind](self.a)[0]
+
+    @property
+    def pools_first(self) -> bool:
+        """Whether pooling before activating is exact: true where the left branch
+        never decreases and meets the identity at the boundary (`lrelu`,
+        `drelu`, `mlrelu-continuous`), false for `sigmoid` and `mlrelu-literal`."""
         if self.kind == "sigmoid":
-            return None
-        if self.kind == "lrelu":
-            return 0.0
-        return -self.a
+            return False
+        boundary, left, slope = _PIECEWISE[self.kind](self.a)
+        return slope >= 0 and left(boundary) == boundary
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -73,40 +74,28 @@ def activation_apply(act: Activation, x):
     """Evaluate the activation at x (scalar or array)."""
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr, "activation input")
-    a = act.a
     if act.kind == "sigmoid":
         out = _stable_sigmoid(arr)
-    elif act.kind == "lrelu":
-        out = np.where(arr > 0.0, arr, 0.01 * arr)
-    elif act.kind == "drelu":
-        out = np.where(arr > -a, arr, -a)
-    elif act.kind == "mlrelu-literal":
-        out = np.where(arr > -a, arr, -a * arr)
-    else:  # mlrelu-continuous
-        out = np.where(arr > -a, arr, a * (arr + a) - a)
+    else:
+        boundary, left, _ = _PIECEWISE[act.kind](act.a)
+        out = np.where(arr > boundary, arr, left(arr))
     return float(out) if arr.ndim == 0 else out
 
 
 def activation_grad(act: Activation, x):
     """Derivative of the activation at x.
 
-    At the exact branch boundary (x = 0 for lrelu, x = -a otherwise) the
-    right-branch derivative (slope 1) is used so results are deterministic.
+    At `Activation.boundary` itself the right-branch derivative (slope 1) is
+    used so results are deterministic.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr, "activation input")
-    a = act.a
     if act.kind == "sigmoid":
         s = _stable_sigmoid(arr)
         out = s * (1.0 - s)
-    elif act.kind == "lrelu":
-        out = np.where(arr >= 0.0, 1.0, 0.01)
-    elif act.kind == "drelu":
-        out = np.where(arr >= -a, 1.0, 0.0)
-    elif act.kind == "mlrelu-literal":
-        out = np.where(arr >= -a, 1.0, -a)
-    else:  # mlrelu-continuous
-        out = np.where(arr >= -a, 1.0, a)
+    else:
+        boundary, _, slope = _PIECEWISE[act.kind](act.a)
+        out = np.where(arr >= boundary, 1.0, slope)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -6,17 +6,15 @@ inverted dropout to the pooled vector, and maps it through a single
 affine layer to class probabilities. A filter bank's convolution is w
 shifted BLAS matrix products on row slices of the sentence, with no im2col
 copy (`_conv_pre_activations`). In banks large enough to pay, pooling
-comes before the activation where that is exact: `lrelu`, `drelu` and
-`mlrelu-continuous` are the identity right of `Activation.boundary` and
-stay at or below it on the left, so a map whose top pre-activation lies
-strictly right of the boundary pools that value at its first index, and
-only the other maps are activated. `sigmoid` (whose saturated values tie)
-and the non-monotone `mlrelu-literal` activate every map. `backward`
-gives exact analytic gradients of the weighted cross-entropy through each
-map's argmax position and the dropout mask, added in place into a batch
-gradient; `sgd_step` returns fresh parameters. `forward` and `predict`
-take one document; `score` is the evaluation-mode pass over many, packing
-them end to end so that each bank runs one convolution per pack.
+comes before the activation where `Activation.pools_first` says that is
+exact, and only the maps whose top lies on or left of the boundary are
+activated. `backward` gives exact analytic gradients of the weighted
+cross-entropy through each map's argmax position and the dropout mask,
+added in place into a batch gradient; `sgd_step` returns fresh parameters.
+`forward` takes one document, for training and the gradient check.
+`score` is the one evaluation-mode pass: it packs documents end to end so
+that each bank runs one convolution per pack, and `predict` is its row of
+one sentence matrix.
 
 `ModelParams` holds every parameter in one flat float64 vector and each
 block is a view into it, so copy, the SGD step and the checkpoint are each
@@ -169,8 +167,6 @@ def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.
     return pre
 
 
-# Monotone kinds, the identity right of `Activation.boundary`: pooling first is exact.
-_POOL_FIRST_KINDS = ("lrelu", "drelu", "mlrelu-continuous")
 # Smaller banks are activated whole: there the extra numpy calls of pooling
 # first cost more than they save (crossover 4k-8k entries on one core).
 _POOL_FIRST_MIN_ENTRIES = 4096
@@ -183,7 +179,7 @@ _PACK_ROWS = 256
 
 def _max_pool(act: Activation, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first argmax, maximum) of each activated map, pooling first where exact."""
-    if act.kind not in _POOL_FIRST_KINDS or pre.size < _POOL_FIRST_MIN_ENTRIES:
+    if not act.pools_first or pre.size < _POOL_FIRST_MIN_ENTRIES:
         fmap = activation_apply(act, pre)  # raises on non-finite entries
         best = fmap.argmax(axis=1)
         return best, fmap[np.arange(best.size), best]
@@ -308,24 +304,28 @@ def sentence_rows(vectors: np.ndarray, indices: np.ndarray, min_rows: int) -> np
 
 
 def predict(params: ModelParams, sentence: np.ndarray) -> tuple[int, np.ndarray]:
-    """Evaluation-mode class decision; ties go to the smaller class index."""
-    trace = forward(params, sentence)
-    return int(np.argmax(trace.probs)), trace.probs
+    """Evaluation-mode class decision and probabilities of one L x d sentence
+    matrix: its `score` row, so a matrix shorter than `max_width` is zero-padded.
+    Ties go to the smaller class index."""
+    probs = score(params, sentence, [np.arange(len(sentence))])[0]
+    return int(np.argmax(probs)), probs
 
 
 def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
     """Evaluation-mode probabilities (n, classes) of documents given as word indices.
 
     `table` holds one word vector per row. Consecutive documents' padded
-    `sentence_rows`, as `predict` gets them, are packed end to end into
-    sentence matrices of up to `_PACK_ROWS` rows (a longer document forms a
-    pack alone). Each bank is one `_conv_pre_activations` per pack, and
-    `np.maximum.reduceat` pools each document over its own window starts,
-    before activating for the (monotone) `_POOL_FIRST_KINDS`. A non-finite
+    `sentence_rows` are packed end to end into sentence matrices of up to
+    `_PACK_ROWS` rows (a longer document forms a pack alone, uncopied). Each
+    bank is one `_conv_pre_activations` per pack, and `np.maximum.reduceat`
+    pools each document over its own window starts, before activating where
+    `Activation.pools_first`. A table of the wrong width or a non-finite
     pre-activation raises `ValueError`, as in `forward`.
     """
     config, act, m = params.config, params.config.activation, params.config.maps_per_width
-    pool_first = act.kind in _POOL_FIRST_KINDS
+    if table.ndim != 2 or table.shape[1] != config.embedding_dim:
+        raise ValueError(f"word vectors must be n x {config.embedding_dim}, got {table.shape}")
+    pool_first = act.pools_first
     rows = [max(len(ids), config.max_width) for ids in index_arrays]
     pooled = np.empty((len(rows), config.total_maps))
     first = 0
@@ -334,8 +334,8 @@ def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
         while last < len(rows) and total + rows[last] <= _PACK_ROWS:
             total, last = total + rows[last], last + 1
         starts = np.cumsum([0, *rows[first:last]])
-        sentence = np.concatenate([sentence_rows(table, ids, config.max_width)
-                                   for ids in index_arrays[first:last]])
+        packed = [sentence_rows(table, ids, config.max_width) for ids in index_arrays[first:last]]
+        sentence = packed[0] if len(packed) == 1 else np.concatenate(packed)
         for i, w in enumerate(config.filter_widths):
             pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
             if pool_first and not np.isfinite(pre).all():

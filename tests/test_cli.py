@@ -97,6 +97,39 @@ class TestPrepare:
         assert "class caps must be >= 0" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("nn=8,vocab=50", "'nn' is unknown"),
+        ("n=8,n=3", "'n' is repeated"),
+        ("n=8,neg=3", "not both"),
+        ("vocab=50,pos=4,n=2", "not both"),
+    ])
+    def test_a_bad_spec_key_is_a_data_error(self, tmp_path, capsys, spec, problem):
+        out = tmp_path / "data"
+        assert main(["prepare", "--format", "synth", "--spec", spec, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
+    @pytest.mark.parametrize("fmt, flags, unread", [
+        ("synth", ["--spec", "n=8", "--limit-pos", "2"], "--limit-pos"),
+        ("synth", ["--path", "x.csv", "--limit-neg", "2"], "--path, --limit-neg"),
+        ("polarity", ["--path", "root", "--spec", "n=8"], "--spec"),
+        ("polarity", ["--path", "root", "--limit-pos", "1", "--limit-neg", "1"],
+         "--limit-pos, --limit-neg"),
+        ("imdb", ["--path", "reviews.csv", "--spec", "n=8"], "--spec"),
+    ])
+    def test_a_flag_the_format_never_reads_is_a_data_error(self, tmp_path, capsys, fmt, flags,
+                                                          unread):
+        csv_path = tmp_path / "reviews.csv"
+        csv_path.write_text("review,sentiment\ngood film,positive\nbad film,negative\n")
+        (tmp_path / "root" / "pos").mkdir(parents=True)
+        (tmp_path / "root" / "neg").mkdir()
+        (tmp_path / "root" / "pos" / "r.txt").write_text("a fine film")
+        flags = [str(tmp_path / f) if f in ("x.csv", "root", "reviews.csv") else f for f in flags]
+        out = tmp_path / "data"
+        assert main(["prepare", "--format", fmt, *flags, "--out", str(out)]) == 2
+        assert f"--format {fmt} does not read {unread}" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
     def test_imbalanced_spec(self, tmp_path):
         out = tmp_path / "data"
         code = main(["prepare", "--format", "synth",

@@ -154,7 +154,7 @@ class TestImdbCsvLoader:
             rows.append(f"positive review {i},positive")
             rows.append(f"negative review {i},negative")
         write_csv(f, rows)
-        ds = load_imdb_csv(f, limit_per_class={1: 2, 0: 4})
+        ds = load_imdb_csv(f, limit_pos=2, limit_neg=4)
         assert ds.class_counts == {1: 2, 0: 4}
         kept_pos = [d.tokens[2] for d in ds.documents if d.label == 1]
         assert kept_pos == ["0", "1"]
@@ -165,7 +165,7 @@ class TestImdbCsvLoader:
             f,
             ["!!!,positive", "first good,positive", "second good,positive", "bad,negative"],
         )
-        ds = load_imdb_csv(f, limit_per_class={1: 2, 0: 10})
+        ds = load_imdb_csv(f, limit_pos=2, limit_neg=10)
         assert ds.class_counts == {1: 2, 0: 1}
         assert [d.tokens for d in ds.documents if d.label == 1] == [
             ("first", "good"),
@@ -301,6 +301,16 @@ class TestImbalancedSynthCorpus:
         kwargs = dict(n_negative=60, n_positive=30, vocab_size=40, doc_len=20,
                       signal_strength=0.7, seed=5)
         assert imbalanced_synth_corpus(**kwargs) == imbalanced_synth_corpus(**kwargs)
+
+    @pytest.mark.parametrize("neg, pos", [(20, 10), (10, 20), (0, 7), (7, 0), (12, 12)])
+    def test_each_document_is_the_balanced_corpus_document_of_its_source_id(self, neg, pos):
+        ds = imbalanced_synth_corpus(n_negative=neg, n_positive=pos, vocab_size=16,
+                                     doc_len=9, signal_strength=0.6, seed=3)
+        balanced = {d.source_id: d for d in synth_corpus(max(neg, pos), 16, 9, 0.6, seed=3).documents}
+        assert ds.class_counts == {label: m for label, m in ((0, neg), (1, pos)) if m}
+        assert [d.source_id for d in ds.documents] == [
+            *(f"synth-0-{i}" for i in range(neg)), *(f"synth-1-{i}" for i in range(pos))]
+        assert all(d == balanced[d.source_id] for d in ds.documents)
 
 
 class TestDatasetJsonRoundTrip:

@@ -128,6 +128,52 @@ class TestActivationGradients:
         assert np.all(grads < 1e-4)
 
 
+def if_chain_apply(kind, a, arr):
+    """Each piecewise activation spelled out kind by kind, as a reference."""
+    if kind == "lrelu":
+        return np.where(arr > 0.0, arr, 0.01 * arr)
+    if kind == "drelu":
+        return np.where(arr > -a, arr, -a)
+    if kind == "mlrelu-literal":
+        return np.where(arr > -a, arr, -a * arr)
+    return np.where(arr > -a, arr, a * (arr + a) - a)
+
+
+def if_chain_grad(kind, a, arr):
+    if kind == "lrelu":
+        return np.where(arr >= 0.0, 1.0, 0.01)
+    if kind == "drelu":
+        return np.where(arr >= -a, 1.0, 0.0)
+    if kind == "mlrelu-literal":
+        return np.where(arr >= -a, 1.0, -a)
+    return np.where(arr >= -a, 1.0, a)
+
+
+class TestActivationTable:
+    """The table-driven activations against the if-chain oracle, bit for bit."""
+
+    @pytest.mark.parametrize("a", [0.03, 0.5, 2.0])
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS[1:])
+    def test_piecewise_kinds_match_the_if_chains(self, kind, a):
+        act = Activation(kind, a)
+        edges = np.array([0.0, -a])  # each boundary, its float neighbours, and -0.0
+        grid = np.concatenate([np.linspace(-5.0, 5.0, 2001), edges, np.nextafter(edges, np.inf),
+                               np.nextafter(edges, -np.inf), [-0.0]])
+        for got, want in ((activation_apply(act, grid), if_chain_apply(kind, a, grid)),
+                          (activation_grad(act, grid), if_chain_grad(kind, a, grid))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("a", [0.03, 0.5, 2.0])
+    def test_pools_first_only_for_the_monotone_kinds_that_meet_the_identity(self, a):
+        assert [k for k in ACTIVATION_KINDS if Activation(k, a).pools_first] == [
+            "lrelu", "drelu", "mlrelu-continuous"]
+
+    def test_kind_order_is_kept(self):
+        assert ACTIVATION_KINDS == ("sigmoid", "lrelu", "drelu", "mlrelu-literal",
+                                    "mlrelu-continuous")
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])

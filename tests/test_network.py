@@ -462,8 +462,38 @@ class TestPredict:
         )
 
 
+class TestPredictIsAScoreRow:
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    @pytest.mark.parametrize("rows", [0, 1, 4, 5, 9, 300])
+    def test_is_the_score_row_of_the_sentence_bit_for_bit(self, kind, rows):
+        params = init_params(tiny_config(filter_widths=(2, 5), activation=Activation(kind)))
+        sentence = np.random.default_rng(rows).normal(size=(rows, 3))
+        cls, probs = predict(params, sentence)
+        assert np.array_equal(probs, network.score(params, sentence, [np.arange(rows)])[0])
+        assert cls == int(np.argmax(probs))
+
+    def test_a_tie_goes_to_the_smaller_class(self):
+        params = init_params(tiny_config())
+        params.fc_weights[...] = 0.0
+        cls, probs = predict(params, np.ones((4, 3)))
+        assert probs[0] == probs[1] and cls == 0
+
+    def test_a_sentence_shorter_than_the_widest_filter_is_zero_padded(self):
+        params = init_params(tiny_config(filter_widths=(2, 5)))
+        sentence = np.random.default_rng(1).normal(size=(3, 3))
+        padded = np.vstack([sentence, np.zeros((2, 3))])
+        assert np.array_equal(predict(params, sentence)[1], predict(params, padded)[1])
+        np.testing.assert_allclose(predict(params, sentence)[1], forward(params, padded).probs,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (5,), (3,), (5, 3, 1)])
+    def test_a_wrong_embedding_width_raises(self, shape):
+        with pytest.raises(ValueError, match="word vectors must be n x 3"):
+            predict(init_params(tiny_config()), np.ones(shape))
+
+
 class TestScore:
-    """The packed scorer against one `predict` per document."""
+    """The packed scorer against one eval-mode `forward` per document."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -479,7 +509,7 @@ class TestScore:
              pack_rows=30, bias_shift=0.0, seed=0)
     @example(kind="sigmoid", widths={1, 2}, maps=2, lengths=[40, 40], pack_rows=8,
              bias_shift=-5.0, seed=1)
-    def test_matches_predict_per_document(self, kind, widths, maps, lengths, pack_rows,
+    def test_matches_forward_per_document(self, kind, widths, maps, lengths, pack_rows,
                                           bias_shift, seed):
         rng = np.random.default_rng(seed)
         config = NetworkConfig(filter_widths=tuple(sorted(widths)), maps_per_width=maps,
@@ -495,7 +525,7 @@ class TestScore:
         assert got.shape == (len(docs), 2)
         for ids, probs in zip(docs, got):
             pad = np.zeros((max(0, config.max_width - len(ids)), 3))
-            want = predict(params, np.vstack([table[ids], pad]))[1]
+            want = forward(params, np.vstack([table[ids], pad])).probs
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
