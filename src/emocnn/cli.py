@@ -111,7 +111,6 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Pat
             if k not in ("func", "command") and isinstance(v, _MANIFEST_VALUE_TYPES)
         },
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
@@ -581,9 +580,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(expand_config_flags(list(argv)))
-        if args.command in _RUN_COMMANDS:
+        code = args.func(args)
+        # Only a run that wrote its outputs (passed or failed its gate) is replayable.
+        if args.command in _RUN_COMMANDS and code in (EXIT_OK, EXIT_ASSERT):
             write_manifest(Path(args.out), args.command, args)
-        return args.func(args)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DataError, ValueError, OSError) as exc:

@@ -66,12 +66,14 @@ def json_artifact(path: str | Path, what: str, version: int):
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write `text` (UTF-8, untranslated newlines) via a temp file and `os.replace`.
+    """Write `text` (UTF-8, untranslated newlines) via a temp file and `os.replace`,
+    making the directory first if needed.
 
     A process killed mid-write leaves the old file or the new one, never a
     truncated one. No fsync: the fault guarded against is a killed process.
     """
     dest = Path(path)
+    dest.parent.mkdir(parents=True, exist_ok=True)
     tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="") as handle:

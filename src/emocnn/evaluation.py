@@ -473,7 +473,6 @@ def emit_report(reports, out_dir: str | Path) -> list[Path]:
         md_lines.extend(md)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     write_atomic(metrics_path, _csv_text(METRICS_COLUMNS, metric_rows))
     summary_path = out / "summary.csv"

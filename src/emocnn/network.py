@@ -11,10 +11,11 @@ exact, and only the maps whose top lies on or left of the boundary are
 activated. `backward` gives exact analytic gradients of the weighted
 cross-entropy through each map's argmax position and the dropout mask,
 added in place into a batch gradient; `sgd_step` returns fresh parameters.
-`forward` takes one document, for training and the gradient check.
-`score` is the one evaluation-mode pass: it packs documents end to end so
-that each bank runs one convolution per pack, and `predict` is its row of
-one sentence matrix.
+`forward` and `backward` take one document, for the gradient check and as
+the reference of the batch passes. Documents are packed end to end by
+`_packs`, so that each bank runs one convolution per pack: `train_step` is
+the training pass over one batch, and `score` the one evaluation-mode pass,
+whose row of one sentence matrix is `predict`.
 
 `ModelParams` holds every parameter in one flat float64 vector and each
 block is a view into it, so copy, the SGD step and the checkpoint are each
@@ -170,10 +171,11 @@ def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.
 # Smaller banks are activated whole: there the extra numpy calls of pooling
 # first cost more than they save (crossover 4k-8k entries on one core).
 _POOL_FIRST_MIN_ENTRIES = 4096
-# Rows of one packed sentence matrix in `score`. At desk shape (200 docs of
-# 30 tokens, d=16, 3 x 100 maps, one core) 256 and 512 rows scored equally
-# fast; 128 rows ran 1.2x slower and 1,024 rows 1.3x slower, their products
-# touching fresh pages (3,300 page faults per call, none at 256).
+# Rows of one packed sentence matrix in `score` and `train_step`. At desk
+# shape (200 docs of 30 tokens, d=16, 3 x 100 maps, one core) 256 and 512
+# rows scored equally fast; 128 rows ran 1.2x slower and 1,024 rows 1.3x
+# slower, their products touching fresh pages (3,300 page faults per call,
+# none at 256).
 _PACK_ROWS = 256
 
 
@@ -195,10 +197,29 @@ def _max_pool(act: Activation, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return best, top
 
 
-def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
-    """Inverted dropout mask: entries are 0 or 1/(1-p), E[mask] = 1."""
+def dropout_mask(rng: np.random.Generator, size: int | tuple[int, ...], p: float) -> np.ndarray:
+    """Inverted dropout mask of shape `size`: entries are 0 or 1/(1-p), E[mask] = 1.
+    An (n, k) mask holds the same draws as n masks of size k drawn in turn."""
     keep = rng.random(size) >= p
     return keep / (1.0 - p)
+
+
+def _add_window_grads(filters: np.ndarray, biases: np.ndarray, sentence: np.ndarray,
+                      best: np.ndarray, dx: np.ndarray) -> None:
+    """Add each document's bank gradient into `filters` and `biases`, in order.
+
+    `best` and `dx` are (documents, maps): each map's argmax window start in
+    `sentence` and the gradient at its pre-activation. The windows of all
+    documents are gathered and scaled at once, but each document adds dx
+    times its windows to `filters` and dx to `biases` in turn, so a batch
+    sums in the order of a loop of `backward` calls.
+    """
+    w = filters.shape[1]
+    windows = sentence[best[..., None] + np.arange(w)]  # (docs, maps, w, dim), a fresh copy
+    np.multiply(dx[..., None, None], windows, out=windows)
+    for doc_windows, doc_dx in zip(windows, dx):
+        filters += doc_windows
+        biases += doc_dx
 
 
 def forward(
@@ -278,12 +299,78 @@ def backward(
         best = trace.argmax[w]
         pre_at_best = trace.pre_activations[w][np.arange(m), best]
         dx = dpooled[i * m : (i + 1) * m] * activation_grad(config.activation, pre_at_best)
-        # Each map's argmax window (maps, w, dim), a fresh copy: overwrite it.
-        windows = trace.sentence[best[:, None] + np.arange(w)]
-        np.multiply(dx[:, None, None], windows, out=windows)
-        grads.filters[w] += windows
-        grads.filter_biases[w] += dx
+        _add_window_grads(grads.filters[w], grads.filter_biases[w], trace.sentence,
+                          best[None], dx[None])
     return grads
+
+
+def train_step(
+    params: ModelParams,
+    table: np.ndarray,
+    index_arrays,
+    targets,
+    sample_weights,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ModelParams]:
+    """One training batch: (probabilities (n, classes), summed gradients).
+
+    The batch's documents, given as word indices into `table`, are packed
+    as in `score` (`_packs`), and each bank runs one `_conv_pre_activations`
+    per pack. Each document pools the first argmax of its activated map over
+    its own window starts only (`_max_pool`); a pack of one document pools
+    its map as `forward` does, uncopied. One (n, total maps) `dropout_mask`
+    draw from `rng` gives each document the mask that a training-mode
+    `forward` would draw for it in turn. The fc layer and the pooled
+    gradient are one product each over the batch. The gradients of the
+    weighted cross-entropy are then added per document, in batch order, as
+    `backward` adds one. The packs are built again for that half, so only
+    one pack's sentence matrix and pre-activations are held at a time.
+    """
+    config, act, m = params.config, params.config.activation, params.config.maps_per_width
+    n = len(index_arrays)
+    pooled = np.empty((n, config.total_maps))
+    best = np.empty((n, config.total_maps), dtype=np.intp)
+    pre_at_best = np.empty((n, config.total_maps))
+    for first, last, starts, sentence in _packs(table, index_arrays, config.max_width):
+        for i, w in enumerate(config.filter_widths):
+            pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
+            if last - first > 1:
+                # Rows (map, document) over the document's own window starts; a
+                # shorter document repeats its last start, which moves neither
+                # its maximum nor its first argmax.
+                counts = np.diff(starts) - w + 1
+                offsets = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+                pre = pre[:, starts[:-1, None] + offsets].reshape(-1, offsets.shape[1])
+            doc_best, top = _max_pool(act, pre)
+            block = (slice(first, last), slice(i * m, (i + 1) * m))
+            best[block] = doc_best.reshape(m, -1).T
+            pooled[block] = top.reshape(m, -1).T
+            pre_at_best[block] = pre[np.arange(doc_best.size), doc_best].reshape(m, -1).T
+
+    mask = None
+    if config.dropout_rate > 0.0:
+        mask = dropout_mask(rng, pooled.shape, config.dropout_rate)
+    dropped = pooled if mask is None else pooled * mask
+    probs = softmax(dropped @ params.fc_weights.T + params.fc_bias)
+
+    dlogits = probs.copy()
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits *= np.asarray(sample_weights, dtype=np.float64)[:, None]
+    dpooled = dlogits @ params.fc_weights
+    if mask is not None:
+        dpooled *= mask
+    dx = dpooled * activation_grad(act, pre_at_best)
+
+    grads = params.zeros_like()
+    for doc_dlogits, doc_dropped in zip(dlogits, dropped):
+        grads.fc_weights += np.outer(doc_dlogits, doc_dropped)
+        grads.fc_bias += doc_dlogits
+    for first, last, starts, sentence in _packs(table, index_arrays, config.max_width):
+        for i, w in enumerate(config.filter_widths):
+            block = (slice(first, last), slice(i * m, (i + 1) * m))
+            _add_window_grads(grads.filters[w], grads.filter_biases[w], sentence,
+                              starts[:-1, None] + best[block], dx[block])
+    return probs, grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
@@ -303,22 +390,50 @@ def sentence_rows(vectors: np.ndarray, indices: np.ndarray, min_rows: int) -> np
     return matrix
 
 
+def _packs(table: np.ndarray, index_arrays, min_rows: int):
+    """The packs of `score` and `train_step`: consecutive documents end to end.
+
+    Yields (first, last, starts, sentence) per pack: documents `first:last`,
+    the row where each of them starts in `sentence` followed by its row
+    count, and the sentence matrix, the documents' `sentence_rows` end to
+    end, of at most `_PACK_ROWS` rows. A longer document forms a pack alone.
+    A pack of one document is not copied again, and the index range of every
+    row of `table`, `range(len(table))` as `predict` passes it, uses `table`
+    itself once it has `min_rows` rows.
+    """
+    rows = [max(len(ids), min_rows) for ids in index_arrays]
+    first = 0
+    while first < len(rows):
+        last, total = first + 1, rows[first]
+        while last < len(rows) and total + rows[last] <= _PACK_ROWS:
+            total, last = total + rows[last], last + 1
+        starts = np.cumsum([0, *rows[first:last]])
+        ids = index_arrays[first]
+        if (last - first == 1 and isinstance(ids, range) and ids == range(len(table))
+                and len(table) >= min_rows):
+            sentence = table
+        else:
+            packed = [sentence_rows(table, ids, min_rows) for ids in index_arrays[first:last]]
+            sentence = packed[0] if len(packed) == 1 else np.concatenate(packed)
+        yield first, last, starts, sentence
+        first = last
+
+
 def predict(params: ModelParams, sentence: np.ndarray) -> tuple[int, np.ndarray]:
     """Evaluation-mode class decision and probabilities of one L x d sentence
     matrix: its `score` row, so a matrix shorter than `max_width` is zero-padded.
     Ties go to the smaller class index."""
-    probs = score(params, sentence, [np.arange(len(sentence))])[0]
+    probs = score(params, sentence, [range(len(sentence))])[0]
     return int(np.argmax(probs)), probs
 
 
 def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
     """Evaluation-mode probabilities (n, classes) of documents given as word indices.
 
-    `table` holds one word vector per row. Consecutive documents' padded
-    `sentence_rows` are packed end to end into sentence matrices of up to
-    `_PACK_ROWS` rows (a longer document forms a pack alone, uncopied). Each
-    bank is one `_conv_pre_activations` per pack, and `np.maximum.reduceat`
-    pools each document over its own window starts, before activating where
+    `table` holds one word vector per row. Documents are packed by `_packs`
+    into sentence matrices of up to `_PACK_ROWS` rows. Each bank is one
+    `_conv_pre_activations` per pack, and `np.maximum.reduceat` pools each
+    document over its own window starts, before activating where
     `Activation.pools_first`. A table of the wrong width or a non-finite
     pre-activation raises `ValueError`, as in `forward`.
     """
@@ -326,16 +441,8 @@ def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
     if table.ndim != 2 or table.shape[1] != config.embedding_dim:
         raise ValueError(f"word vectors must be n x {config.embedding_dim}, got {table.shape}")
     pool_first = act.pools_first
-    rows = [max(len(ids), config.max_width) for ids in index_arrays]
-    pooled = np.empty((len(rows), config.total_maps))
-    first = 0
-    while first < len(rows):
-        last, total = first + 1, rows[first]
-        while last < len(rows) and total + rows[last] <= _PACK_ROWS:
-            total, last = total + rows[last], last + 1
-        starts = np.cumsum([0, *rows[first:last]])
-        packed = [sentence_rows(table, ids, config.max_width) for ids in index_arrays[first:last]]
-        sentence = packed[0] if len(packed) == 1 else np.concatenate(packed)
+    pooled = np.empty((len(index_arrays), config.total_maps))
+    for first, last, starts, sentence in _packs(table, index_arrays, config.max_width):
         for i, w in enumerate(config.filter_widths):
             pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
             if pool_first and not np.isfinite(pre).all():
@@ -346,7 +453,6 @@ def score(params: ModelParams, table: np.ndarray, index_arrays) -> np.ndarray:
             fmap = pre if pool_first else activation_apply(act, pre)
             top = np.maximum.reduceat(fmap, bounds, axis=1)[:, ::2]
             pooled[first:last, i * m : (i + 1) * m] = (activation_apply(act, top) if pool_first else top).T
-        first = last
     return softmax(pooled @ params.fc_weights.T + params.fc_bias)
 
 

@@ -9,7 +9,8 @@ configuration. Two presets encode them:
     loss, filter widths 3/4/5 with 100 maps each.
 
 Batch gradients are *summed* over the batch (one SGD step per batch); the
-default learning rates assume that convention. Per-epoch wall-clock times
+default learning rates assume that convention. Each batch is one packed
+`network.train_step`. Per-epoch wall-clock times
 are recorded but excluded from determinism comparisons - everything else
 in a report is bit-reproducible for fixed seeds on one machine.
 """
@@ -28,13 +29,11 @@ from .functions import Activation, cross_entropy, weights_from_counts
 from .network import (
     ModelParams,
     NetworkConfig,
-    backward,
-    forward,
     init_params,
     params_digest,
     score,
-    sentence_rows,
     sgd_step,
+    train_step,
 )
 
 LOSS_MODES = ("unweighted", "weighted")
@@ -330,7 +329,7 @@ def train(
     only. Each epoch runs a seeded shuffle and summed-gradient batches,
     then scores the validation split in one `score` pass. Training stops at
     `max_epochs` or once the convergence rule triggers. Documents are
-    indexed once per call; a batch adds its gradients into one vector.
+    indexed once per call, and each batch is one packed `train_step`.
     `config.network.seed` seeds the split, shuffles, dropout and init.
     """
     if dataset.k < 2:
@@ -353,7 +352,6 @@ def train(
     else:
         weights = {c: 1.0 for c in dataset.class_counts}
 
-    max_width = net.max_width
     params = init_params(net)
     best_params = params
     best_epoch = 0
@@ -366,20 +364,18 @@ def train(
         correct = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_grads = params.zeros_like()
-            for i in batch:
-                doc = train_docs[i]
-                trace = forward(params, sentence_rows(table.vectors, train_ids[i], max_width), rng=rng)
-                weight = weights[doc.label]
-                loss = cross_entropy(trace.probs, doc.label, weight)
+            labels = [train_docs[i].label for i in batch]
+            probs, batch_grads = train_step(params, table.vectors, [train_ids[i] for i in batch],
+                                            labels, [weights[c] for c in labels], rng)
+            for doc_probs, label in zip(probs, labels):
+                loss = cross_entropy(doc_probs, label, weights[label])
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"non-finite loss at epoch {epoch}, "
                         f"batch {start // config.batch_size}"
                     )
                 epoch_loss += loss
-                correct += int(np.argmax(trace.probs)) == doc.label
-                backward(params, trace, doc.label, weight, out=batch_grads)
+                correct += int(np.argmax(doc_probs)) == label
             params = sgd_step(params, batch_grads, config.learning_rate)
 
         val_acc = eval_result(val_set, score(params, table.vectors, val_ids)).accuracy

@@ -108,6 +108,7 @@ class TestPrepare:
         assert main(["prepare", "--format", "synth", "--spec", spec, "--out", str(out)]) == 2
         assert problem in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
+        assert not (out / "manifest.json").exists(), "a refused run is not replayable"
 
     @pytest.mark.parametrize("fmt, flags, unread", [
         ("synth", ["--spec", "n=8", "--limit-pos", "2"], "--limit-pos"),
@@ -292,6 +293,7 @@ class TestEvalCvCompare:
         assert code == 2
         assert "per_stratum >= 1" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
+        assert not (out / "manifest.json").exists()
         assert sum(scored) == 0, "the strata are checked before any document is scored"
 
     @pytest.mark.parametrize("flags", [["--warmup", "-1"], ["--timing-samples", "-5"],
@@ -308,6 +310,7 @@ class TestEvalCvCompare:
         assert code == 2
         assert "need --timing-samples >= 1, --warmup >= 0 and --repeats >= 1" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
+        assert not (out / "manifest.json").exists()
         assert scored == []
 
     def test_eval_scores_each_document_once(self, tmp_path, prepared, embedded, trained,
@@ -387,6 +390,7 @@ class TestGradcheck:
         assert code == 3
         assert "flagged parameter blocks" in capsys.readouterr().err
         assert json.loads((out / "gradcheck_report.json").read_text())["sigmoid"]["flagged_blocks"]
+        assert (out / "manifest.json").is_file(), "a run that failed its gate is replayable"
 
     def test_all_activations(self, tmp_path):
         out = tmp_path / "gc"

@@ -472,6 +472,17 @@ class TestPredictIsAScoreRow:
         assert np.array_equal(probs, network.score(params, sentence, [np.arange(rows)])[0])
         assert cls == int(np.argmax(probs))
 
+    @pytest.mark.parametrize("rows", [5, 300])
+    def test_a_sentence_of_max_width_rows_or_more_is_not_copied(self, monkeypatch, rows):
+        def no_gather(*args):
+            raise AssertionError("predict gathered its own sentence again")
+
+        params = init_params(tiny_config(filter_widths=(2, 5)))
+        sentence = np.random.default_rng(rows).normal(size=(rows, 3))
+        want = predict(params, sentence)[1]
+        monkeypatch.setattr(network, "sentence_rows", no_gather)
+        assert np.array_equal(predict(params, sentence)[1], want)
+
     def test_a_tie_goes_to_the_smaller_class(self):
         params = init_params(tiny_config())
         params.fc_weights[...] = 0.0
@@ -539,6 +550,52 @@ class TestScore:
 
     def test_no_documents_give_no_rows(self):
         assert network.score(init_params(tiny_config()), np.ones((3, 3)), []).shape == (0, 2)
+
+
+class TestTrainStep:
+    """The packed batch step against one `forward` + `backward` per document."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(ACTIVATION_KINDS),
+        widths=st.sets(st.integers(1, 5), min_size=1, max_size=3),
+        maps=st.integers(1, 6),
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        pack_rows=st.sampled_from([1, 8, 30, network._PACK_ROWS]),
+        dropout=st.sampled_from([0.0, 0.4]),
+        bias_shift=st.sampled_from([0.0, -0.5, -5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="mlrelu-continuous", widths={3, 4, 5}, maps=1, lengths=[300, 2, 40, 1, 9],
+             pack_rows=network._PACK_ROWS, dropout=0.4, bias_shift=0.0, seed=0)
+    @example(kind="sigmoid", widths={1, 2}, maps=2, lengths=[40, 40, 3], pack_rows=8,
+             dropout=0.0, bias_shift=-5.0, seed=1)
+    def test_matches_forward_and_backward_per_document(self, kind, widths, maps, lengths,
+                                                       pack_rows, dropout, bias_shift, seed):
+        rng = np.random.default_rng(seed)
+        config = NetworkConfig(filter_widths=tuple(sorted(widths)), maps_per_width=maps,
+                               embedding_dim=3, dropout_rate=dropout,
+                               activation=Activation(kind), seed=seed)
+        params = init_params(config)
+        for w in config.filter_widths:
+            params.filter_biases[w][:] = rng.normal(scale=0.05, size=maps) + bias_shift
+        table = rng.normal(size=(6, 3))
+        docs = [rng.integers(0, 6, size=n) for n in lengths]
+        targets = rng.integers(0, 2, size=len(docs))
+        weights = rng.uniform(0.5, 2.0, size=len(docs))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_PACK_ROWS", pack_rows)
+            probs, grads = network.train_step(params, table, docs, targets, weights,
+                                              np.random.default_rng(seed))
+        mask_rng = np.random.default_rng(seed)  # one draw per document, in turn
+        want = params.zeros_like()
+        assert probs.shape == (len(docs), 2)
+        for ids, target, weight, row in zip(docs, targets, weights, probs):
+            trace = forward(params, network.sentence_rows(table, ids, config.max_width),
+                            rng=mask_rng)
+            backward(params, trace, target, weight, out=want)
+            np.testing.assert_allclose(row, trace.probs, rtol=0, atol=1e-12)
+        assert np.abs(grads.vector - want.vector).max() <= 1e-12 * np.abs(want.vector).max()
 
 
 class TestLayout:

@@ -1,13 +1,19 @@
-"""The training step against a test-local copy of the per-sample step it replaced.
+"""The packed training step against a test-local per-document step.
 
-`reference_forward` activates every (map, position) entry before pooling,
-and `reference_backward` gathers the argmax windows through
-`sliding_window_view` into a fresh gradient per sample, which the batch
-then accumulates as `batch.vector += 1.0 * grads.vector`. The library
-pools before activating where that is exact and adds each sample's
-gradient in place; both must give the same bits. Pooling first runs only
-on banks of at least `network._POOL_FIRST_MIN_ENTRIES` entries, so tests
-on small inputs set that bound to 0 as well as leaving it as it is.
+`reference_step` has the signature of `network.train_step` and takes its
+BLAS products from the library: the pack convolution (`_conv_pre_activations`
+on the packs of `network._packs`), and the logits and the pooled gradient as
+the same batch products of its own stacked per-document vectors. Everything
+else it does per document: it activates every (map, position) entry of the
+document's own windows before pooling, takes the first argmax, draws its own
+`dropout_mask`, and builds a fresh gradient from `np.outer` and the argmax
+windows of `sliding_window_view`, which the batch then accumulates as
+`batch.vector += 1.0 * grads.vector`. The library pools before activating
+where that is exact, gathers the windows of a pack's documents at once, and
+adds the per-document gradient blocks in place; both must give the same
+bits. Pooling first runs only on banks of at least
+`network._POOL_FIRST_MIN_ENTRIES` entries, so tests on small inputs set that
+bound to 0 as well as leaving it as it is.
 """
 
 import numpy as np
@@ -37,17 +43,22 @@ from emocnn.network import (
 )
 
 
+def reference_pool(act, pre):
+    """(first argmax, maximum) of each map, activated in full first."""
+    fmap = activation_apply(act, pre)
+    best = fmap.argmax(axis=1)
+    return best, fmap[np.arange(fmap.shape[0]), best]
+
+
 def reference_forward(params, sentence, rng=None):
     """Full-map activation, then the first argmax of each activated map."""
     config = params.config
     pre_acts, argmax, pooled_parts = {}, {}, []
     for w in config.filter_widths:
         pre = _conv_pre_activations(params.filters[w], params.filter_biases[w], sentence)
-        fmap = activation_apply(config.activation, pre)
-        best = fmap.argmax(axis=1)
+        argmax[w], top = reference_pool(config.activation, pre)
         pre_acts[w] = pre
-        argmax[w] = best
-        pooled_parts.append(fmap[np.arange(fmap.shape[0]), best])
+        pooled_parts.append(top)
     pooled = np.concatenate(pooled_parts)
     p = config.dropout_rate
     if rng is not None and p > 0.0:
@@ -62,32 +73,50 @@ def reference_forward(params, sentence, rng=None):
                         probs=softmax(logits))
 
 
-def reference_backward(params, trace, target, sample_weight=1.0, out=None):
-    """A fresh gradient per sample, added to `out` as one vector."""
+def reference_step(params, table, index_arrays, targets, sample_weights, rng):
+    """`network.train_step`, one document at a time around the library's products."""
     config = params.config
-    dlogits = trace.probs.copy()
-    dlogits[target] -= 1.0
-    dlogits *= sample_weight
-    grads = params.zeros_like()
-    grads.fc_weights[...] = np.outer(dlogits, trace.dropped)
-    grads.fc_bias[...] = dlogits
-    ddropped = params.fc_weights.T @ dlogits
-    dpooled = ddropped if trace.dropout_mask is None else ddropped * trace.dropout_mask
-    offset = 0
-    for w in config.filter_widths:
-        m = config.maps_per_width
-        seg = dpooled[offset : offset + m]
-        offset += m
-        best = trace.argmax[w]
-        pre_at_best = trace.pre_activations[w][np.arange(m), best]
-        dx = seg * activation_grad(config.activation, pre_at_best)
-        windows = sliding_window_view(trace.sentence, (w, trace.sentence.shape[1]))[:, 0]
-        grads.filters[w][...] = dx[:, None, None] * windows[best]
-        grads.filter_biases[w][...] = dx
-    if out is None:
-        return grads
-    out.vector += 1.0 * grads.vector
-    return out
+    act, p, m = config.activation, config.dropout_rate, config.maps_per_width
+    traces = []
+    for _, _, starts, packed in network._packs(table, index_arrays, config.max_width):
+        pack_pre = {w: _conv_pre_activations(params.filters[w], params.filter_biases[w], packed)
+                    for w in config.filter_widths}
+        for begin, end in zip(starts[:-1], starts[1:]):
+            pre_acts, argmax, pooled_parts = {}, {}, []
+            for w in config.filter_widths:
+                pre_acts[w] = pack_pre[w][:, begin : end - w + 1]
+                argmax[w], top = reference_pool(act, pre_acts[w])
+                pooled_parts.append(top)
+            pooled = np.concatenate(pooled_parts)
+            mask = dropout_mask(rng, pooled.shape[0], p) if p > 0.0 else None
+            traces.append(ForwardTrace(sentence=packed[begin:end], pre_activations=pre_acts,
+                                       argmax=argmax, pooled=pooled, dropout_mask=mask,
+                                       dropped=pooled if mask is None else pooled * mask,
+                                       probs=None))
+    logits = np.stack([t.dropped for t in traces]) @ params.fc_weights.T + params.fc_bias
+    probs = np.stack([softmax(row) for row in logits])
+    dlogits = []
+    for row, target, weight in zip(probs, targets, sample_weights):
+        d = row.copy()
+        d[target] -= 1.0
+        d *= weight
+        dlogits.append(d)
+    ddropped = np.stack(dlogits) @ params.fc_weights
+    batch = params.zeros_like()
+    for trace, d, dd in zip(traces, dlogits, ddropped):
+        grads = params.zeros_like()
+        grads.fc_weights[...] = np.outer(d, trace.dropped)
+        grads.fc_bias[...] = d
+        dpooled = dd if trace.dropout_mask is None else dd * trace.dropout_mask
+        for i, w in enumerate(config.filter_widths):
+            best = trace.argmax[w]
+            pre_at_best = trace.pre_activations[w][np.arange(m), best]
+            dx = dpooled[i * m : (i + 1) * m] * activation_grad(act, pre_at_best)
+            windows = sliding_window_view(trace.sentence, (w, trace.sentence.shape[1]))[:, 0]
+            grads.filters[w][...] = dx[:, None, None] * windows[best]
+            grads.filter_biases[w][...] = dx
+        batch.vector += 1.0 * grads.vector
+    return probs, batch
 
 
 POOL_FIRST_BOUNDS = [0, network._POOL_FIRST_MIN_ENTRIES]
@@ -99,8 +128,7 @@ def train_both(monkeypatch, dataset, embeddings, config, min_entries):
     runs = []
     for step in ("library", "reference"):
         if step == "reference":
-            monkeypatch.setattr(training, "forward", reference_forward)
-            monkeypatch.setattr(training, "backward", reference_backward)
+            monkeypatch.setattr(training, "train_step", reference_step)
         params, report = training.train(dataset, embeddings, config)
         runs.append((params, strip_timing(report.to_dict())))
     return runs
@@ -139,6 +167,44 @@ def test_train_matches_the_reference_step_below_max_width(monkeypatch):
     (fast, fast_report), (ref, ref_report) = train_both(monkeypatch, dataset, embeddings, config, 0)
     assert np.array_equal(fast.vector, ref.vector)
     assert fast_report == ref_report
+
+
+# name -> (widths, maps per width, dim, document lengths, filter bias).
+STEP_CASES = {
+    "quickstart shape": ((3, 4, 5), 100, 16, [30] * 20, 0.0),
+    "lengths 1 to 40": ((3, 4, 5), 4, 3, list(range(1, 41)), 0.0),
+    "past the pack cap": ((3, 4, 5), 1, 3, [300, 2, 12, network._PACK_ROWS], 0.0),
+    "nine equal documents": ((2, 3), 3, 3, [10] * 9, 0.0),
+    # Around 33 the sigmoid rounds to a few values just below 1, so maps tie
+    # between windows whose gradients differ (its slope is still about 5e-15):
+    # there a reference that took the last argmax would fail.
+    "saturating inputs": ((1, 3), 6, 3, [12, 7, 30], 33.0),
+}
+
+
+@pytest.mark.parametrize("min_entries", POOL_FIRST_BOUNDS)
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_step_is_bit_equal_to_the_reference(monkeypatch, case, kind, dropout, min_entries):
+    widths, maps, dim, lengths, bias = STEP_CASES[case]
+    monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
+    rng = np.random.default_rng(len(lengths))
+    config = NetworkConfig(filter_widths=widths, maps_per_width=maps, embedding_dim=dim,
+                           dropout_rate=dropout, activation=Activation(kind), seed=1)
+    params = init_params(config)
+    for w in widths:
+        params.filter_biases[w][:] = bias
+    table = rng.normal(size=(12, dim))
+    docs = [rng.integers(0, 12, size=n) for n in lengths]
+    if case == "nine equal documents":
+        docs = [docs[0]] * len(docs)
+    targets = rng.integers(0, 2, size=len(docs))
+    weights = rng.uniform(0.5, 2.0, size=len(docs))
+    got = network.train_step(params, table, docs, targets, weights, np.random.default_rng(5))
+    want = reference_step(params, table, docs, targets, weights, np.random.default_rng(5))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].vector, want[1].vector)
 
 
 class TestPoolBeforeActivation:
