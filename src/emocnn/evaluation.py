@@ -2,6 +2,8 @@
 
 `evaluate` and the stratified rows score a document set in one packed
 `network.score` call; `measure_inference_time` times `predict`, a `score` row.
+`gradient_check` checks the gradients of `network.train_step`, the one
+training pass, against central differences of its own loss.
 
 Three artifacts are written by `emit_report` into the output directory:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -35,11 +38,11 @@ from .functions import activation_apply, cross_entropy
 from .network import (
     ModelParams,
     NetworkConfig,
-    backward,
-    forward,
+    _conv_pre_activations,
     init_params,
     predict,
     score,
+    train_step,
 )
 
 
@@ -307,11 +310,7 @@ def measure_inference_time(
     )
 
 
-def _numeric_gradients(params, sentence, target, weight, h, mask_seed):
-    def loss_at(p):
-        rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
-        return cross_entropy(forward(p, sentence, rng=rng).probs, target, weight)
-
+def _numeric_gradients(loss_at, params: ModelParams, h: float) -> ModelParams:
     probe = params.copy()
     numeric = params.zeros_like()
     for i, value in enumerate(params.vector):
@@ -324,16 +323,17 @@ def _numeric_gradients(params, sentence, target, weight, h, mask_seed):
     return numeric
 
 
-def _fixture_is_smooth(trace, activation, margin=1e-4):
-    # Skip fixtures with a pre-activation near the activation's branch
-    # boundary or a near-tie at the top of any feature map: central
+def _fixture_is_smooth(params, sentence, margin=1e-4):
+    # Skip fixtures with a pre-activation of `sentence` near the activation's
+    # branch boundary or a near-tie at the top of any feature map: central
     # differences straddle a kink there and disagree with either one-sided
     # derivative.
-    boundary = activation.boundary
-    for w, pre in trace.pre_activations.items():
-        if boundary is not None and np.any(np.abs(pre - boundary) < margin):
+    act = params.config.activation
+    for w, filters in params.filters.items():
+        pre = _conv_pre_activations(filters, params.filter_biases[w], sentence)
+        if act.boundary is not None and np.any(np.abs(pre - act.boundary) < margin):
             return False
-        fmap = activation_apply(activation, pre)
+        fmap = activation_apply(act, pre)
         if fmap.shape[1] >= 2:
             top2 = np.sort(fmap, axis=1)[:, -2:]
             if np.any(top2[:, 1] - top2[:, 0] < margin):
@@ -350,18 +350,21 @@ def gradient_check(
     grad_transform: Callable[[ModelParams], ModelParams] | None = None,
     label: str = "",
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare `train_step`'s analytic gradients against central finite differences.
 
     Random tiny fixtures (parameters, sentence, target, sample weight,
     dropout mask) are drawn per trial; fixtures adjacent to non-smooth
-    points are skipped and redrawn. Relative error per entry is
-    |a - n| / max(|a| + |n|, 1e-6); a block whose worst entry exceeds
-    `tol` is flagged. `grad_transform`, when given, is applied to the
-    analytic gradients first - a fault-injection hook for sensitivity
-    tests of this harness.
+    points are skipped and redrawn. Each is a batch of one (table = its
+    sentence, indices `range(L)`), and `train_step` gives both the analytic
+    gradient and, under the same dropout mask, the loss to difference.
+    Relative error per entry is |a - n| / max(|a| + |n|, 1e-6); a block
+    whose worst entry exceeds `tol` or is not finite (reported as inf) is
+    flagged. `grad_transform`, when given, is applied to the analytic
+    gradients first - a fault-injection hook for sensitivity tests of this
+    harness. `h` and `tol` must be finite, h > 0 and tol >= 0.
     """
-    if trials < 1 or h <= 0:
-        raise ValueError("trials must be >= 1 and h > 0")
+    if trials < 1 or not 0 < h < math.inf or not 0 <= tol < math.inf:
+        raise ValueError(f"need trials >= 1, finite h > 0 and finite tol >= 0, not {trials}, {h}, {tol}")
     rng = np.random.default_rng(seed)
     max_err: dict[str, float] = {}
     completed = 0
@@ -374,20 +377,21 @@ def gradient_check(
         length = int(rng.integers(config.max_width, config.max_width + 4))
         sentence = rng.normal(size=(length, config.embedding_dim))
         mask_seed = int(rng.integers(1 << 30)) if config.dropout_rate > 0 else None
-        mask_rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
-        trace = forward(params, sentence, rng=mask_rng)
-        if not _fixture_is_smooth(trace, config.activation):
+        if not _fixture_is_smooth(params, sentence):
             skipped += 1
             continue
         target = int(rng.integers(config.num_classes))
         weight = float(rng.uniform(0.5, 2.0))
-        analytic = backward(params, trace, target, weight)
+        def step(p):
+            return train_step(p, sentence, [range(length)], [target], [weight],
+                              np.random.default_rng(mask_seed))
+        analytic = step(params)[1]
         if grad_transform is not None:
             analytic = grad_transform(analytic)
-        numeric = _numeric_gradients(params, sentence, target, weight, h, mask_seed)
+        numeric = _numeric_gradients(lambda p: cross_entropy(step(p)[0][0], target, weight), params, h)
         for (name, a), (_, n) in zip(analytic.named_blocks(), numeric.named_blocks()):
             err = float(np.max(np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-6)))
-            max_err[name] = max(max_err.get(name, 0.0), err)
+            max_err[name] = max(max_err.get(name, 0.0), err if math.isfinite(err) else math.inf)
         completed += 1
     if completed < trials:
         raise RuntimeError("could not draw enough smooth gradient-check fixtures")

@@ -5,17 +5,16 @@ pools the maximum of each activated feature map, optionally applies
 inverted dropout to the pooled vector, and maps it through a single
 affine layer to class probabilities. A filter bank's convolution is w
 shifted BLAS matrix products on row slices of the sentence, with no im2col
-copy (`_conv_pre_activations`). In banks large enough to pay, pooling
-comes before the activation where `Activation.pools_first` says that is
-exact, and only the maps whose top lies on or left of the boundary are
-activated. `backward` gives exact analytic gradients of the weighted
-cross-entropy through each map's argmax position and the dropout mask,
-added in place into a batch gradient; `sgd_step` returns fresh parameters.
-`forward` and `backward` take one document, for the gradient check and as
-the reference of the batch passes. Documents are packed end to end by
-`_packs`, so that each bank runs one convolution per pack: `train_step` is
-the training pass over one batch, and `score` the one evaluation-mode pass,
-whose row of one sentence matrix is `predict`.
+copy (`_conv_pre_activations`). Pooling comes before the activation where
+`Activation.pools_first` says that is exact, and then only the maps whose
+top lies on or left of the boundary are activated. Documents are packed
+end to end by `_packs`, so that each bank runs one convolution per pack:
+`train_step` is the training pass over one batch, with exact analytic
+gradients of the weighted cross-entropy through each map's argmax position
+and the dropout mask, and `score` the one evaluation-mode pass, whose row
+of one sentence matrix is `predict`. `sgd_step` returns fresh parameters.
+`forward` and `backward` take one document; they are reference passes for
+the tests and the benchmark, while the gradient check runs `train_step`.
 
 `ModelParams` holds every parameter in one flat float64 vector and each
 block is a view into it, so copy, the SGD step and the checkpoint are each
@@ -168,9 +167,6 @@ def _conv_pre_activations(filters: np.ndarray, biases: np.ndarray, sentence: np.
     return pre
 
 
-# Smaller banks are activated whole: there the extra numpy calls of pooling
-# first cost more than they save (crossover 4k-8k entries on one core).
-_POOL_FIRST_MIN_ENTRIES = 4096
 # Rows of one packed sentence matrix in `score` and `train_step`. At desk
 # shape (200 docs of 30 tokens, d=16, 3 x 100 maps, one core) 256 and 512
 # rows scored equally fast; 128 rows ran 1.2x slower and 1,024 rows 1.3x
@@ -181,7 +177,7 @@ _PACK_ROWS = 256
 
 def _max_pool(act: Activation, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first argmax, maximum) of each activated map, pooling first where exact."""
-    if not act.pools_first or pre.size < _POOL_FIRST_MIN_ENTRIES:
+    if not act.pools_first:
         fmap = activation_apply(act, pre)  # raises on non-finite entries
         best = fmap.argmax(axis=1)
         return best, fmap[np.arange(best.size), best]

@@ -392,6 +392,14 @@ class TestGradcheck:
         assert json.loads((out / "gradcheck_report.json").read_text())["sigmoid"]["flagged_blocks"]
         assert (out / "manifest.json").is_file(), "a run that failed its gate is replayable"
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--h", "inf")])
+    def test_non_finite_or_negative_settings_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gc"
+        code = main(["gradcheck", "--trials", "2", flag, value, "--assert", "--out", str(out)])
+        assert code == 2
+        assert "finite tol >= 0" in capsys.readouterr().err
+        assert not out.exists(), "a refused run writes nothing"
+
     def test_all_activations(self, tmp_path):
         out = tmp_path / "gc"
         code = main(["gradcheck", "--trials", "2", "--out", str(out)])

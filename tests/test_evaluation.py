@@ -1,12 +1,14 @@
 """Tests for metrics, stratified evaluation, timing, gradcheck, and emission."""
 
 import csv
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emocnn.corpus import imbalanced_synth_corpus, synth_corpus
-from emocnn import evaluation
+from emocnn import evaluation, functions, network
 from emocnn.embedding import build_vocab, embed_lookup, init_random_embeddings
 from emocnn.evaluation import (
     METRICS_COLUMNS,
@@ -18,7 +20,7 @@ from emocnn.evaluation import (
     stratified_sample_eval,
     strip_timing,
 )
-from emocnn.functions import Activation
+from emocnn.functions import ACTIVATION_KINDS, Activation
 from emocnn.network import NetworkConfig, init_params, predict, score
 from emocnn.training import run_fold_cv, train, TrainConfig
 
@@ -218,6 +220,52 @@ class TestGradientCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             gradient_check(self.tiny, trials=0)
+
+    @pytest.mark.parametrize("h, tol", [(math.nan, 1e-4), (math.inf, 1e-4), (1e-5, math.nan),
+                                        (1e-5, math.inf), (1e-5, -1e-4)])
+    def test_refuses_a_non_finite_step_or_tolerance(self, h, tol):
+        with pytest.raises(ValueError, match="finite h > 0 and finite tol >= 0"):
+            gradient_check(self.tiny, trials=1, h=h, tol=tol)
+
+    def test_non_finite_gradient_flags_every_block(self):
+        def poison(grads):
+            grads.vector[:] = np.nan
+            return grads
+
+        report = gradient_check(self.tiny, trials=2, seed=42, grad_transform=poison)
+        assert report.flagged_blocks == sorted(report.max_rel_error)
+        assert report.worst == math.inf
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_differences_train_step_and_reaches_pool_first(self, monkeypatch, kind):
+        # Both the analytic gradient and every loss come from `train_step`, on a
+        # batch of one whose table is the sentence; and for a kind that pools
+        # first, some bank skips activating its whole map in `_max_pool`.
+        steps, whole_banks, activated = [], [], []
+        real_step, real_pool = network.train_step, network._max_pool
+
+        def spy_step(params, table, index_arrays, *rest):
+            steps.append((table, index_arrays))
+            return real_step(params, table, index_arrays, *rest)
+
+        def spy_apply(act, x):
+            activated.append(np.shape(x))
+            return functions.activation_apply(act, x)
+
+        def spy_pool(act, pre):
+            activated.clear()
+            result = real_pool(act, pre)
+            whole_banks.append(pre.shape in activated)
+            return result
+
+        monkeypatch.setattr(evaluation, "train_step", spy_step)
+        monkeypatch.setattr(network, "activation_apply", spy_apply)
+        monkeypatch.setattr(network, "_max_pool", spy_pool)
+        config = replace(self.tiny, activation=Activation(kind))
+        gradient_check(config, trials=2, seed=42)
+        assert len(steps) == 2 * (1 + 2 * init_params(config).vector.size)
+        assert all(ids == [range(len(table))] for table, ids in steps)
+        assert all(whole_banks) != config.activation.pools_first
 
 
 class TestEmitReport:

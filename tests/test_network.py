@@ -259,6 +259,28 @@ class TestMaxpool:
                     best_val, best_idx = x, i
             assert value == best_val and idx == best_idx
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (40, 128)])
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_bank_pools_first_exactly_when_the_kind_says(self, monkeypatch, kind, shape):
+        # At every bank size, from one entry to past 4,096: the whole map is
+        # activated only for a kind that cannot pool first, and either way the
+        # (argmax, maximum) pairs are those of the activated map.
+        act = Activation(kind)
+        rng = np.random.default_rng(shape[0])
+        pre = rng.normal(size=shape) + np.where(np.arange(shape[0]) % 2, -4.0, 1.0)[:, None]
+        fmap = activation_apply(act, pre)
+        activated = []
+
+        def spy_apply(act, x):
+            activated.append(np.shape(x))
+            return activation_apply(act, x)
+
+        monkeypatch.setattr(network, "activation_apply", spy_apply)
+        best, top = network._max_pool(act, pre)
+        assert (shape in activated) != act.pools_first
+        assert np.array_equal(best, fmap.argmax(axis=1))
+        assert np.array_equal(top, fmap.max(axis=1))
+
 
 class TestForward:
     def test_probabilities_sum_to_one(self):
@@ -289,14 +311,20 @@ class TestForward:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-    @pytest.mark.parametrize("min_entries", [0, network._POOL_FIRST_MIN_ENTRIES])
-    def test_nonfinite_pre_activation_rejected(self, monkeypatch, min_entries, kind, bad):
+    @pytest.mark.parametrize("run", ["forward", "train_step", "score"])
+    def test_nonfinite_pre_activation_rejected(self, run, kind, bad):
         # The finite entry 1.0 tops the map, so pooling alone would not see `bad`;
-        # min_entries 0 pools first even this small map.
-        monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
+        # the batch passes meet it in the second document of a pack.
         params = single_filter_params(np.ones((1, 1)), 0.0, Activation(kind))
+        table, docs = np.array([[1.0], [bad], [0.5]]), [[2], [0, 1, 2]]
+        passes = {
+            "forward": lambda: forward(params, table),
+            "train_step": lambda: network.train_step(params, table, docs, [0, 1], [1.0, 1.0],
+                                                     np.random.default_rng(0)),
+            "score": lambda: network.score(params, table, docs),
+        }
         with pytest.raises(ValueError, match="non-finite"):
-            forward(params, np.array([[1.0], [bad], [0.5]]))
+            passes[run]()
 
     def test_inverted_dropout_keeps_expectation(self):
         # Mean of the scaled mask over many draws stays within 1% of 1.

@@ -11,10 +11,14 @@ windows of `sliding_window_view`, which the batch then accumulates as
 `batch.vector += 1.0 * grads.vector`. The library pools before activating
 where that is exact, gathers the windows of a pack's documents at once, and
 adds the per-document gradient blocks in place; both must give the same
-bits. Pooling first runs only on banks of at least
-`network._POOL_FIRST_MIN_ENTRIES` entries, so tests on small inputs set that
-bound to 0 as well as leaving it as it is.
+bits.
+
+`batch_family_worst` checks the library step itself against central
+differences of its own summed weighted loss, on batches whose packs hold
+several documents, some shorter than the widest filter.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from emocnn import network, training
+from emocnn import evaluation, network, training
 from emocnn.corpus import synth_corpus
 from emocnn.embedding import CbowConfig, build_vocab, train_cbow
 from emocnn.evaluation import strip_timing
@@ -31,6 +35,7 @@ from emocnn.functions import (
     Activation,
     activation_apply,
     activation_grad,
+    cross_entropy,
     softmax,
 )
 from emocnn.network import (
@@ -119,12 +124,8 @@ def reference_step(params, table, index_arrays, targets, sample_weights, rng):
     return probs, batch
 
 
-POOL_FIRST_BOUNDS = [0, network._POOL_FIRST_MIN_ENTRIES]
-
-
-def train_both(monkeypatch, dataset, embeddings, config, min_entries):
+def train_both(monkeypatch, dataset, embeddings, config):
     """(params, stripped report) of `train` with the library step, then the reference."""
-    monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
     runs = []
     for step in ("library", "reference"):
         if step == "reference":
@@ -143,15 +144,12 @@ def quickstart():
     return dataset, (vocab, train_cbow(dataset, vocab, CbowConfig(dim=16, epochs=3, seed=7)))
 
 
-@pytest.mark.parametrize("min_entries", POOL_FIRST_BOUNDS)
 @pytest.mark.parametrize("preset", ["elreluwl", "baseline-sota"])
-def test_train_matches_the_reference_step_on_the_quickstart(monkeypatch, quickstart, preset,
-                                                            min_entries):
+def test_train_matches_the_reference_step_on_the_quickstart(monkeypatch, quickstart, preset):
     dataset, embeddings = quickstart
     config = training.preset_config(preset, 16, seed=3, learning_rate=0.05, batch_size=20,
                                     max_epochs=6)
-    (fast, fast_report), (ref, ref_report) = train_both(monkeypatch, dataset, embeddings, config,
-                                                        min_entries)
+    (fast, fast_report), (ref, ref_report) = train_both(monkeypatch, dataset, embeddings, config)
     assert np.array_equal(fast.vector, ref.vector)
     assert fast_report == ref_report
 
@@ -164,7 +162,7 @@ def test_train_matches_the_reference_step_below_max_width(monkeypatch):
     embeddings = (vocab, train_cbow(dataset, vocab, CbowConfig(dim=6, epochs=1, seed=5)))
     config = training.preset_config("elreluwl", 6, seed=2, learning_rate=0.05, batch_size=4,
                                     max_epochs=4, maps_per_width=6)
-    (fast, fast_report), (ref, ref_report) = train_both(monkeypatch, dataset, embeddings, config, 0)
+    (fast, fast_report), (ref, ref_report) = train_both(monkeypatch, dataset, embeddings, config)
     assert np.array_equal(fast.vector, ref.vector)
     assert fast_report == ref_report
 
@@ -182,13 +180,11 @@ STEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("min_entries", POOL_FIRST_BOUNDS)
 @pytest.mark.parametrize("dropout", [0.0, 0.4])
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 @pytest.mark.parametrize("case", STEP_CASES)
-def test_step_is_bit_equal_to_the_reference(monkeypatch, case, kind, dropout, min_entries):
+def test_step_is_bit_equal_to_the_reference(case, kind, dropout):
     widths, maps, dim, lengths, bias = STEP_CASES[case]
-    monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
     rng = np.random.default_rng(len(lengths))
     config = NetworkConfig(filter_widths=widths, maps_per_width=maps, embedding_dim=dim,
                            dropout_rate=dropout, activation=Activation(kind), seed=1)
@@ -227,16 +223,15 @@ class TestPoolBeforeActivation:
         distinct_rows=st.integers(1, 4),
         zero_rows=st.integers(0, 6),
         dropout=st.sampled_from([0.0, 0.4]),
-        min_entries=st.sampled_from(POOL_FIRST_BOUNDS),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(kind="mlrelu-continuous", widths={2}, maps=3, extra_rows=4, bias_shift=-5.0,
-             scale=1.0, distinct_rows=1, zero_rows=6, dropout=0.0, min_entries=0, seed=0)
+             scale=1.0, distinct_rows=1, zero_rows=6, dropout=0.0, seed=0)
     @example(kind="sigmoid", widths={1, 3}, maps=4, extra_rows=8, bias_shift=0.0,
-             scale=60.0, distinct_rows=4, zero_rows=0, dropout=0.4, min_entries=0, seed=1)
+             scale=60.0, distinct_rows=4, zero_rows=0, dropout=0.4, seed=1)
     def test_pooled_argmax_and_probs_are_bit_equal(self, kind, widths, maps, extra_rows,
                                                    bias_shift, scale, distinct_rows,
-                                                   zero_rows, dropout, min_entries, seed):
+                                                   zero_rows, dropout, seed):
         rng = np.random.default_rng(seed)
         config = NetworkConfig(filter_widths=tuple(sorted(widths)), maps_per_width=maps,
                                embedding_dim=3, dropout_rate=dropout,
@@ -249,9 +244,7 @@ class TestPoolBeforeActivation:
         sentence = pool[rng.integers(distinct_rows, size=length)]
         sentence[length - min(zero_rows, length):] = 0.0
         mask_seed = int(rng.integers(1 << 30))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", min_entries)
-            got = forward(params, sentence, rng=np.random.default_rng(mask_seed))
+        got = forward(params, sentence, rng=np.random.default_rng(mask_seed))
         want = reference_forward(params, sentence, rng=np.random.default_rng(mask_seed))
         assert np.array_equal(got.pooled, want.pooled)
         for w in config.filter_widths:
@@ -259,10 +252,9 @@ class TestPoolBeforeActivation:
         assert np.array_equal(got.probs, want.probs)
 
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-    def test_top_exactly_on_the_boundary(self, monkeypatch, kind):
+    def test_top_exactly_on_the_boundary(self, kind):
         # drelu maps both entries to -a, so the first argmax is position 0,
         # not the position of the top pre-activation.
-        monkeypatch.setattr(network, "_POOL_FIRST_MIN_ENTRIES", 0)
         act = Activation(kind)
         config = NetworkConfig(filter_widths=(1,), maps_per_width=1, embedding_dim=1,
                                dropout_rate=0.0, activation=act)
@@ -272,3 +264,81 @@ class TestPoolBeforeActivation:
         got, want = forward(params, sentence), reference_forward(params, sentence)
         assert np.array_equal(got.pooled, want.pooled)
         assert np.array_equal(got.argmax[1], want.argmax[1])
+
+
+def batch_fixture(rng, kind, dropout):
+    """(params, table, docs, targets, weights, mask seed): 1-4 documents of 1 to
+    `max_width` + 4 words of a 12-word table, with random nonzero filter biases
+    so that the windows of zero padding miss the kink at 0."""
+    config = NetworkConfig(filter_widths=(2, 3), maps_per_width=2, embedding_dim=3,
+                           dropout_rate=dropout, activation=Activation(kind),
+                           seed=int(rng.integers(1 << 30)))
+    params = init_params(config)
+    for biases in params.filter_biases.values():
+        biases[:] = rng.normal(scale=0.5, size=biases.shape)
+    table = rng.normal(size=(12, 3))
+    docs = [rng.integers(0, 12, size=int(rng.integers(1, config.max_width + 5)))
+            for _ in range(int(rng.integers(1, 5)))]
+    targets = rng.integers(0, 2, size=len(docs))
+    weights = rng.uniform(0.5, 2.0, size=len(docs))
+    return params, table, docs, targets, weights, int(rng.integers(1 << 30))
+
+
+def batch_family_worst(kind, dropout=0.4, step=network.train_step, grad_transform=None,
+                       fixtures=20):
+    """Worst relative error, as `gradient_check` measures it, of `step`'s batch
+    gradient against central differences of the summed weighted loss of its
+    probabilities, over `fixtures` batches that are smooth in every document."""
+    rng = np.random.default_rng(ACTIVATION_KINDS.index(kind))
+    worst, done = 0.0, 0
+    for _ in range(50 * fixtures):
+        params, table, docs, targets, weights, mask_seed = batch_fixture(rng, kind, dropout)
+        sentences = [network.sentence_rows(table, ids, params.config.max_width) for ids in docs]
+        if not all(evaluation._fixture_is_smooth(params, sentence) for sentence in sentences):
+            continue
+
+        def run(p):
+            return step(p, table, docs, targets, weights, np.random.default_rng(mask_seed))
+
+        def loss(p):
+            return sum(cross_entropy(row, t, w) for row, t, w in zip(run(p)[0], targets, weights))
+
+        analytic = run(params)[1]
+        if grad_transform is not None:
+            analytic = grad_transform(analytic)
+        a, n = analytic.vector, evaluation._numeric_gradients(loss, params, 1e-5).vector
+        worst = max(worst, float(np.max(np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-6))))
+        done += 1
+        if done == fixtures:
+            return worst
+    raise AssertionError(f"only {done} of {fixtures} fixtures were smooth")
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_batch_gradients_match_central_differences(kind, dropout):
+    assert batch_family_worst(kind, dropout) <= 1e-4
+
+
+def scaled_filter_entry(grads):
+    grads.filters[2][0, 0, 0] *= 1.01
+    return grads
+
+
+def step_without_pack_offsets():
+    """`network.train_step` gathering each document's windows at its argmax
+    start in the document, not in the pack."""
+    source = inspect.getsource(network.train_step)
+    assert source.count("starts[:-1, None] + best[block]") == 1
+    namespace = dict(vars(network))
+    exec(source.replace("starts[:-1, None] + best[block]", "best[block]"), namespace)
+    return namespace["train_step"]
+
+
+@pytest.mark.parametrize("fault", ["scaled filter entry", "no pack offset"])
+def test_batch_family_flags_a_fault(fault):
+    if fault == "scaled filter entry":
+        worst = batch_family_worst("mlrelu-continuous", grad_transform=scaled_filter_entry)
+    else:
+        worst = batch_family_worst("mlrelu-continuous", step=step_without_pack_offsets())
+    assert worst > 1e-4
